@@ -888,18 +888,17 @@ fn scale_tier(nodes: usize, duplex: usize, crit: usize, reps: usize, verify: boo
 }
 
 /// End-to-end MTR robust search on the same 50-node testbed, five ways
-/// (the MTR analogue of the `phase2_search` contract):
+/// — the same leg shape as `phase2_search`:
 ///
 /// * `serial` — serial-move full-sweep (the pre-incumbent-aware loop),
-/// * `cutoff` — the early-cutoff bounded sweep + per-class Λ floors,
-///   uncached: the pre-Φ baseline,
-/// * `floors` — the same sweep with the load-aware per-class Φ floors
+/// * `cutoff` — the incumbent-aware sweep kernel (early cutoff +
+///   per-class Λ floors + delta-state scenario cache),
+/// * `floors` — the same kernel with the load-aware per-class Φ floors
 ///   (`MtrParams::phi_floors`),
 /// * `repair` — the `cutoff` leg with repair-seeded routing restored on
 ///   the plain `cost_scenario` path (`MtrEvaluator::set_plain_repair`),
-///   which that uncached leg pays on every evaluation,
-/// * `combined` — Φ floors + plain repair + the delta-state per-scenario
-///   routing/load cache (the shipped default).
+/// * `combined` — the shipped default configuration: Φ floors, plain
+///   repair, and a speculation window of 8.
 ///
 /// All single thread, all asserted to produce the identical robust
 /// setting and costs. The operating point is the same
@@ -928,7 +927,6 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
         threads: 1,
         speculation: 1,
         cutoff: false,
-        cache: false,
         phi_floors: false,
         ..MtrParams::paper_default(11)
     };
@@ -943,8 +941,8 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     };
     let combined = MtrParams {
         cutoff: true,
-        cache: true,
         phi_floors: true,
+        speculation: 8,
         ..base
     };
     let reg = mtr_search::regular(&ev, &universe, &base);
@@ -1017,7 +1015,7 @@ fn mtr_robust_search_baseline(net: &Network, tm: &ClassMatrices) -> String {
     println!(
         "micro/mtr_robust_search_{NODES}n: serial {:.1} ms, cutoff+Λ {:.1} ms \
          ({speedup_cutoff:.2}x), +Φ floors {:.1} ms ({speedup_floors:.2}x), \
-         +repair {:.1} ms ({speedup_repair:.2}x), combined (+cache) {:.1} ms \
+         +repair {:.1} ms ({speedup_repair:.2}x), combined (K=8) {:.1} ms \
          ({speedup_combined:.2}x); {} of {} scenario evals skipped \
          ({} floor / {} cache / {} cutoff; identical result)",
         serial_ns as f64 / 1e6,

@@ -35,8 +35,9 @@
 //! criticality signal applies to it. [`FailureUniverse`] is the canonical
 //! single-link implementation; custom models (regional outages,
 //! maintenance windows, k-link cascades) implement the same trait and
-//! ride the same optimizer — there is exactly one Phase-2 loop in the
-//! workspace ([`phase2::run_scenarios`]).
+//! ride the same optimizer — there is exactly one robust-search loop in
+//! the workspace ([`driver`]), shared by Phase 2 and the k-class MTR
+//! robust phase.
 //!
 //! ## Pipeline (Fig. 1 of the paper)
 //!
@@ -89,6 +90,7 @@
 
 pub mod baselines;
 pub mod criticality;
+pub mod driver;
 pub mod ext;
 pub mod full_search;
 pub mod parallel;
@@ -107,8 +109,8 @@ pub mod strategies;
 mod universe;
 
 pub use baselines::Selector;
+pub use driver::RunControl;
 pub use params::{replica_seed, Params, PortfolioParams};
-pub use phase2::RunControl;
 pub use pipeline::{RobustOptimizer, RobustOptimizerBuilder, RobustReport};
 pub use scenario::{DoubleLink, Probabilistic, ScenarioSet, SingleLink, SliceSet, Srlg};
 pub use search::Terminated;

@@ -225,30 +225,58 @@ pub fn set_failure_costs<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
     evaluate_set(ev, w, set, indices, threads)
 }
 
-/// Reusable buffers of the incumbent-bounded sweep
-/// ([`sum_set_costs_bounded`]); one per search run, warmed after the
-/// first sweep (no steady-state allocation).
-#[derive(Clone, Debug, Default)]
-pub struct SweepScratch {
-    /// Per-*position* raw scenario costs (aligned with the `indices`
-    /// slice of the sweep); fully populated on [`SetSweep::Complete`].
-    pub costs: Vec<LexCost>,
+/// Reusable buffers of an incumbent-bounded sweep
+/// ([`sum_set_costs_bounded`], `dtr_mtr::parallel::sum_failure_costs_bounded`);
+/// one per search run, warmed after the first sweep (no steady-state
+/// allocation).
+#[derive(Clone, Debug)]
+pub struct SweepScratch<C> {
+    /// Per-*position* raw scenario costs (aligned with the scenario
+    /// positions of the sweep); fully populated on [`Sweep::Complete`].
+    pub costs: Vec<C>,
     done: Vec<bool>,
 }
 
-impl SweepScratch {
+impl<C> SweepScratch<C> {
     /// Fresh, empty scratch.
     pub fn new() -> Self {
-        Self::default()
+        SweepScratch {
+            costs: Vec::new(),
+            done: Vec::new(),
+        }
+    }
+
+    /// Mark all `n` positions not yet evaluated.
+    pub fn reset_done(&mut self, n: usize) {
+        self.done.clear();
+        self.done.resize(n, false);
+    }
+
+    /// Record that position `pos` holds its evaluated cost.
+    pub fn set_done(&mut self, pos: usize) {
+        self.done[pos] = true;
+    }
+
+    /// Whether position `pos` has been evaluated in this sweep.
+    pub fn is_done(&self, pos: usize) -> bool {
+        self.done[pos]
     }
 }
 
-/// Outcome of an incumbent-bounded set sweep.
+impl<C> Default for SweepScratch<C> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Outcome of an incumbent-bounded sweep, for DTR [`LexCost`] and
+/// k-class costs alike.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SetSweep {
+pub enum Sweep<C> {
     /// All scenarios evaluated; the compound cost is bit-for-bit the
-    /// [`sum_set_costs`] index-order weighted fold.
-    Complete(LexCost),
+    /// plain index-order weighted fold ([`sum_set_costs`] /
+    /// `dtr_mtr::parallel::sum_failure_costs`).
+    Complete(C),
     /// The partial fold proved the candidate cannot beat the incumbent;
     /// `evaluated` scenarios were evaluated before the sweep was
     /// abandoned (the rest are the caller's `scenario_evals_skipped`).
@@ -276,13 +304,13 @@ pub enum SetSweep {
 fn fold_bound<S: crate::scenario::ScenarioSet + ?Sized>(
     set: &S,
     indices: &[usize],
-    scratch: &SweepScratch,
+    scratch: &SweepScratch<LexCost>,
     floors: Option<&[ScenarioFloor]>,
 ) -> LexCost {
     let weighted = set.weighted();
     let mut acc = LexCost::ZERO;
     for (pos, &i) in indices.iter().enumerate() {
-        if scratch.done[pos] {
+        if scratch.is_done(pos) {
             let c = &scratch.costs[pos];
             acc = if weighted {
                 let p = set.weight(i);
@@ -321,10 +349,10 @@ fn fold_bound<S: crate::scenario::ScenarioSet + ?Sized>(
 /// implies the full sweep's total cannot beat the incumbent either.
 /// Consequently:
 ///
-/// * a [`SetSweep::Complete`] result is **bit-for-bit** the
+/// * a [`Sweep::Complete`] result is **bit-for-bit** the
 ///   [`sum_set_costs`] value (the final fold runs over all positions in
 ///   index order, regardless of the evaluation order), and
-/// * a [`SetSweep::Cut`] result only ever replaces a sweep whose
+/// * a [`Sweep::Cut`] result only ever replaces a sweep whose
 ///   candidate the full fold would have rejected anyway,
 ///
 /// which is why a hill climber that accepts only strictly-better
@@ -360,8 +388,8 @@ pub fn sum_set_costs_bounded<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
     seeds: &[(u32, LexCost)],
     floors: Option<&[ScenarioFloor]>,
     cache: Option<&ScenarioCache>,
-    scratch: &mut SweepScratch,
-) -> SetSweep {
+    scratch: &mut SweepScratch<LexCost>,
+) -> Sweep<LexCost> {
     assert!(threads >= 1);
     let n = indices.len();
     assert_eq!(order.len(), n, "order must be a permutation of positions");
@@ -370,8 +398,7 @@ pub fn sum_set_costs_bounded<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
     }
     scratch.costs.clear();
     scratch.costs.resize(n, LexCost::ZERO);
-    scratch.done.clear();
-    scratch.done.resize(n, false);
+    scratch.reset_done(n);
 
     let workers = threads.min(n);
     if workers <= 1 {
@@ -395,7 +422,7 @@ pub fn sum_set_costs_bounded<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
                     }
                 }
             };
-            scratch.done[pos] = true;
+            scratch.set_done(pos);
             let evaluated = e + 1;
             if evaluated < n
                 && evaluated % check_every == 0
@@ -406,14 +433,14 @@ pub fn sum_set_costs_bounded<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
                 // alone (floor-less fold) would *not* have proven it.
                 let floor_cut = floors.is_some()
                     && fold_bound(set, indices, scratch, None).better_than(incumbent);
-                return SetSweep::Cut {
+                return Sweep::Cut {
                     evaluated,
                     floor_cut,
                 };
             }
         }
         ev.release_workspace(ws);
-        return SetSweep::Complete(fold_bound(set, indices, scratch, floors));
+        return Sweep::Complete(fold_bound(set, indices, scratch, floors));
     }
 
     // Parallel: fixed rounds over the priority order; sharded evaluation
@@ -453,7 +480,7 @@ pub fn sum_set_costs_bounded<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
             for h in handles {
                 for (pos, c) in h.join().expect("bounded-sweep worker panicked") {
                     scratch.costs[pos as usize] = c;
-                    scratch.done[pos as usize] = true;
+                    scratch.set_done(pos as usize);
                 }
             }
         });
@@ -461,13 +488,13 @@ pub fn sum_set_costs_bounded<S: crate::scenario::ScenarioSet + Sync + ?Sized>(
         if evaluated < n && !fold_bound(set, indices, scratch, floors).better_than(incumbent) {
             let floor_cut =
                 floors.is_some() && fold_bound(set, indices, scratch, None).better_than(incumbent);
-            return SetSweep::Cut {
+            return Sweep::Cut {
                 evaluated,
                 floor_cut,
             };
         }
     }
-    SetSweep::Complete(fold_bound(set, indices, scratch, floors))
+    Sweep::Complete(fold_bound(set, indices, scratch, floors))
 }
 
 /// Compound (weight-aware) cost of `w` over a scenario set's indices:
@@ -634,7 +661,7 @@ mod tests {
                 &mut scratch,
             );
             let want = sum_set_costs(&ev, &w, &set, &indices, 1);
-            assert_eq!(got, SetSweep::Complete(want), "threads={threads}");
+            assert_eq!(got, Sweep::Complete(want), "threads={threads}");
             // Per-position costs match the plain sweep.
             let costs = evaluate_set(&ev, &w, &set, &indices, 1);
             assert_eq!(scratch.costs, costs);
@@ -667,7 +694,7 @@ mod tests {
         );
         assert_eq!(
             got,
-            SetSweep::Cut {
+            Sweep::Cut {
                 evaluated: 1,
                 floor_cut: false
             }
@@ -707,7 +734,7 @@ mod tests {
                 None,
                 &mut scratch,
             );
-            assert_eq!(got, SetSweep::Complete(total), "threads={threads}");
+            assert_eq!(got, Sweep::Complete(total), "threads={threads}");
             // An incumbent below the summed floors is unbeatable from
             // position zero: the floored sweep cuts at its first check,
             // and the cut is attributed to the floors whenever the
@@ -728,10 +755,10 @@ mod tests {
                 None,
                 &mut scratch,
             ) {
-                SetSweep::Cut { evaluated, .. } => {
+                Sweep::Cut { evaluated, .. } => {
                     assert!(evaluated < indices.len(), "threads={threads}")
                 }
-                SetSweep::Complete(c) => assert!(!c.better_than(&below_floors)),
+                Sweep::Complete(c) => assert!(!c.better_than(&below_floors)),
             }
         }
     }
@@ -765,8 +792,8 @@ mod tests {
                 None,
                 &mut scratch,
             ) {
-                SetSweep::Cut { evaluated, .. } => assert!(evaluated <= indices.len()),
-                SetSweep::Complete(c) => {
+                Sweep::Cut { evaluated, .. } => assert!(evaluated <= indices.len()),
+                Sweep::Complete(c) => {
                     // Completing is allowed (the cut is opportunistic),
                     // but the sum must be exact and not better.
                     assert_eq!(c, total);
@@ -787,7 +814,7 @@ mod tests {
                 None,
                 &mut scratch,
             );
-            assert_eq!(got, SetSweep::Complete(total), "threads={threads}");
+            assert_eq!(got, Sweep::Complete(total), "threads={threads}");
         }
     }
 

@@ -131,13 +131,6 @@ pub struct Params {
     /// trace grows with the move count and exists for the equivalence
     /// suite and diagnostics.
     pub record_trace: bool,
-    /// Smallest pending speculative batch worth fanning out eagerly
-    /// ahead of the replay cursor when `threads > 1` (see
-    /// [`crate::search::EAGER_MIN_BATCH`], the measured default — the
-    /// break-even holds from the 90 µs paper-scale evals up to the
-    /// millisecond evals of the 500+-node tiers). Purely a wall-clock
-    /// knob: the trajectory is bit-identical for every value.
-    pub eager_min_batch: usize,
     /// Portfolio/replica search for the robust phase (Phase 2):
     /// independent chains from derived seeds with index-ordered elite
     /// exchange. `PortfolioParams::single()` = classic search.
@@ -199,7 +192,6 @@ impl Params {
             cutoff: true,
             phi_floors: true,
             record_trace: false,
-            eager_min_batch: crate::search::EAGER_MIN_BATCH,
             portfolio: PortfolioParams::single(),
             cache_budget_bytes: usize::MAX,
             max_iterations: 100_000,
@@ -260,7 +252,6 @@ impl Params {
         assert!(self.archive_size >= 1);
         assert!(self.threads >= 1);
         assert!(self.speculation >= 1, "speculation window K >= 1");
-        assert!(self.eager_min_batch >= 1, "eager batch threshold >= 1");
         self.portfolio.validate();
         assert!(self.max_iterations >= 1);
         if let Some(ms) = self.deadline_ms {

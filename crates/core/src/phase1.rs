@@ -51,7 +51,7 @@ pub struct Phase1Output {
     pub best_cost: LexCost,
     /// Acceptable settings collected along the way (Phase-2 start points;
     /// always contains `best`).
-    pub archive: Archive,
+    pub archive: Archive<WeightSetting, LexCost>,
     /// Failure-cost samples per failable link.
     pub store: SampleStore,
     /// Rank tracker (carried into Phase 1b if needed).
@@ -109,7 +109,6 @@ pub fn run(ev: &Evaluator<'_>, universe: &FailureUniverse, params: &Params) -> P
             &mut rng,
             params.speculation,
             params.threads,
-            params.eager_min_batch,
             &mut current,
             &mut spec,
             &mut wasted,

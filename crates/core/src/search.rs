@@ -92,7 +92,8 @@ pub enum Terminated {
     Restored,
 }
 
-/// Counters reported by each search phase.
+/// Counters reported by each search phase — DTR Phases 1/2 and the
+/// k-class MTR phases alike.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Full sweeps over all links.
@@ -118,7 +119,10 @@ pub struct SearchStats {
     /// sweep running through the delta-state scenario cache.
     pub skipped_cache: usize,
     /// Skips from cuts the evaluated subset proved on its own, on an
-    /// uncached bounded sweep.
+    /// uncached bounded sweep. The robust driver
+    /// ([`crate::driver`]) always runs its bounded sweeps through the
+    /// delta-state cache, so this stays 0 there; the counter is kept for
+    /// custom drivers.
     pub skipped_cutoff: usize,
     /// Speculative normal-conditions evaluations discarded because an
     /// earlier move in the window was accepted (re-evaluated against the
@@ -127,13 +131,12 @@ pub struct SearchStats {
     pub speculative_wasted: usize,
     /// Extra scenario evaluations spent rebuilding the delta-state
     /// scenario cache outside a logical full sweep (physical overhead of
-    /// the cutoff kernel, never counted in `evaluations`). Since the
-    /// delta-state refresh maintains cache coverage exactly on every
-    /// accept, drift rebuilds no longer exist and this stays 0 in the
-    /// shipped phases; the counter is kept for custom drivers.
+    /// the cutoff kernel, never counted in `evaluations`). The
+    /// delta-state refresh keeps cache coverage exact on every accept,
+    /// so only a snapshot restore rebuilds the cache and charges this.
     pub cache_rebuild_evals: usize,
     /// Gauge: how many scenarios the delta-state cache held resident
-    /// under its byte budget (`Params::cache_budget_bytes`) at the last
+    /// under its byte budget (`cache_budget_bytes`) at the last
     /// rebuild. Equals the critical-set size when the budget never
     /// binds; merged by max.
     pub cache_resident_scenarios: usize,
@@ -145,6 +148,10 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
+    /// Fold `other` into `self`: counters sum, the cache-residency gauge
+    /// takes the max. The portfolio search merges per-replica stats in
+    /// replica index order (the parallel-search contract in
+    /// `DETERMINISM.md`).
     pub fn merge(&mut self, other: &SearchStats) {
         self.iterations += other.iterations;
         self.evaluations += other.evaluations;
@@ -247,15 +254,13 @@ impl<W, M, C> Default for SpecBuffers<W, M, C> {
 /// loop is already µs-fast — so no eval-cost-aware threshold is
 /// needed.)
 ///
-/// Re-measured at the PR-8 500/2,000/5,000-node tiers: one
+/// Re-measured at the 500/2,000/5,000-node tiers: one
 /// normal-conditions evaluation there costs **milliseconds** (≈3 ms at
 /// 500 nodes), three orders of magnitude above the 30–60 µs fan-out
 /// overhead, so the break-even batch stays at 2 — larger thresholds
-/// only delay the overlap. The value is therefore kept as the default
-/// of the `eager_min_batch` knob on `Params`/`MtrParams` rather than
-/// raised; hosts where fan-out is unusually expensive can raise it
-/// without touching the kernel (the trajectory is identical for every
-/// value, see [`speculative_sweep`]).
+/// only delay the overlap. Like the window size and thread count, the
+/// threshold only moves work between the eager and lazy paths: the
+/// trajectory is identical for every value (see [`speculative_sweep`]).
 pub const EAGER_MIN_BATCH: usize = 2;
 
 /// One sweep of the hill climber with speculative batched moves — the
@@ -275,20 +280,14 @@ pub const EAGER_MIN_BATCH: usize = 2;
 /// serial loop.
 ///
 /// `wasted` accumulates the discarded speculative evaluations
-/// ([`SearchStats::speculative_wasted`]).
-///
-/// `eager_min` is the smallest pending batch worth fanning out eagerly
-/// (below it, evaluation defers to lazy replay even on multicore);
-/// [`EAGER_MIN_BATCH`] is the measured default. Like `k` and `threads`
-/// it only moves work between the eager and lazy paths — the costs,
-/// decisions and trajectory are bit-identical for every value.
+/// ([`SearchStats::speculative_wasted`]). Batches smaller than
+/// [`EAGER_MIN_BATCH`] defer to lazy replay even on multicore.
 #[allow(clippy::too_many_arguments)]
 pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
     reps: &[LinkId],
     rng: &mut StdRng,
     k: usize,
     threads: usize,
-    eager_min: usize,
     current: &mut W,
     bufs: &mut SpecBuffers<W, M, C>,
     wasted: &mut usize,
@@ -334,10 +333,9 @@ pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
 
         // Evaluate every pending non-noop candidate against the current
         // base, fanning out over `threads` workers. With a single worker
-        // there is nothing to overlap, and a batch below `eager_min`
-        // (default [`EAGER_MIN_BATCH`]) cannot amortize the fan-out
-        // overhead (see the measured threshold above), so evaluation
-        // is deferred to
+        // there is nothing to overlap, and a batch below
+        // [`EAGER_MIN_BATCH`] cannot amortize the fan-out overhead (see
+        // the measured threshold above), so evaluation is deferred to
         // the replay below (same costs, no wasted work, and the
         // workspace baseline tracks `current` exactly as in the serial
         // loop).
@@ -346,7 +344,7 @@ pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
             bufs.todo.extend(
                 (pos..drawn).filter(|&i| !bufs.slots[i].noop && bufs.slots[i].cost.is_none()),
             );
-            if bufs.todo.len() < eager_min.max(1) {
+            if bufs.todo.len() < EAGER_MIN_BATCH {
                 bufs.todo.clear();
             }
         }
@@ -401,6 +399,28 @@ pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
     }
 }
 
+/// A search objective the hill climbers compare and the stop rule
+/// measures: the DTR [`LexCost`] `⟨Λ, Φ⟩` and the k-class
+/// `dtr_mtr::VecCost` (lexicographic over class precedence).
+pub trait SearchCost: Clone {
+    /// Strict lexicographic improvement (ε-tolerant where the cost type
+    /// defines one).
+    fn better_than(&self, other: &Self) -> bool;
+    /// Relative improvement of `self` over `reference` in the first
+    /// component that moved — what the `c%` stop rule thresholds.
+    fn relative_improvement_over(&self, reference: &Self) -> f64;
+}
+
+impl SearchCost for LexCost {
+    fn better_than(&self, other: &Self) -> bool {
+        LexCost::better_than(self, other)
+    }
+
+    fn relative_improvement_over(&self, reference: &Self) -> f64 {
+        LexCost::relative_improvement_over(self, reference)
+    }
+}
+
 /// The paper's stopping rule: after each diversification, stop once the
 /// relative improvement of the global best over the trailing `window`
 /// diversifications drops below `c`.
@@ -409,13 +429,14 @@ pub fn speculative_sweep<W, M, C, D, R, A, E, P>(
 /// looks further back, and long runs diversify tens of thousands of
 /// times.
 #[derive(Clone, Debug)]
-pub struct StopRule {
+pub struct StopRule<C> {
     window: usize,
     c: f64,
-    history: Vec<LexCost>,
+    history: Vec<C>,
 }
 
-impl StopRule {
+impl<C: SearchCost> StopRule<C> {
+    /// Rule with the given trailing `window` and threshold `c`.
     pub fn new(window: usize, c: f64) -> Self {
         assert!(window >= 1);
         StopRule {
@@ -427,7 +448,7 @@ impl StopRule {
 
     /// Record the global best at the end of a diversification; returns
     /// `true` when the search should stop.
-    pub fn record(&mut self, global_best: LexCost) -> bool {
+    pub fn record(&mut self, global_best: C) -> bool {
         self.history.push(global_best);
         if self.history.len() <= self.window {
             return false;
@@ -438,8 +459,9 @@ impl StopRule {
             let excess = self.history.len() - (self.window + 1);
             self.history.drain(..excess);
         }
-        let reference = self.history[self.history.len() - 1 - self.window];
-        let improvement = global_best.relative_improvement_over(&reference);
+        let last = self.history.len() - 1;
+        let improvement =
+            self.history[last].relative_improvement_over(&self.history[last - self.window]);
         improvement < self.c
     }
 
@@ -447,14 +469,34 @@ impl StopRule {
     /// must carry so a restored search makes the same stop decision as
     /// an uninterrupted one (see "The checkpoint contract" in
     /// `DETERMINISM.md`).
-    pub fn history(&self) -> &[LexCost] {
+    pub fn history(&self) -> &[C] {
         &self.history
     }
 
     /// Replace the trailing history (snapshot restore).
-    pub fn restore_history(&mut self, records: Vec<LexCost>) {
+    pub fn restore_history(&mut self, records: Vec<C>) {
         self.history = records;
     }
+}
+
+/// A weight setting the [`Archive`] can screen for duplicates with one
+/// integer compare (equal fingerprints fall back to full equality).
+pub trait Fingerprint: PartialEq {
+    /// Cheap 64-bit fingerprint of the setting.
+    fn fingerprint(&self) -> u64;
+}
+
+/// FNV-1a over a sequence of per-class weight vectors — the fingerprint
+/// of DTR and k-class MTR settings alike.
+pub fn fnv1a_weights<'a>(classes: impl IntoIterator<Item = &'a [u32]>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for weights in classes {
+        for &x in weights {
+            h ^= u64::from(x);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// Cheap 64-bit fingerprint of a weight setting (FNV-1a over both class
@@ -463,28 +505,28 @@ impl StopRule {
 /// equal fingerprints fall back to full equality, so dedup behaviour is
 /// *identical* to the exact scan.
 pub fn weight_fingerprint(w: &WeightSetting) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for class in Class::ALL {
-        for &x in w.weights(class) {
-            h ^= u64::from(x);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    fnv1a_weights(Class::ALL.iter().map(|&class| w.weights(class)))
+}
+
+impl Fingerprint for WeightSetting {
+    fn fingerprint(&self) -> u64 {
+        weight_fingerprint(self)
     }
-    h
 }
 
 /// Bounded archive of good weight settings, ordered best-first by
-/// lexicographic cost. Phase 1 feeds it with acceptable settings; Phase 2
-/// diversifies from it.
+/// lexicographic cost. The normal-conditions phase feeds it with
+/// acceptable settings; the robust phase diversifies from it.
 #[derive(Clone, Debug)]
-pub struct Archive {
-    entries: Vec<(WeightSetting, LexCost)>,
-    /// Per-entry [`weight_fingerprint`], aligned with `entries`.
+pub struct Archive<W, C> {
+    entries: Vec<(W, C)>,
+    /// Per-entry [`Fingerprint::fingerprint`], aligned with `entries`.
     fingerprints: Vec<u64>,
     cap: usize,
 }
 
-impl Archive {
+impl<W: Fingerprint + Clone, C: SearchCost> Archive<W, C> {
+    /// Archive keeping at most `cap` entries.
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 1);
         Archive {
@@ -497,8 +539,8 @@ impl Archive {
     /// Offer a setting; kept if among the `cap` best seen (duplicates by
     /// exact weight equality are ignored — screened by fingerprint, so
     /// the common miss costs one integer compare per entry).
-    pub fn offer(&mut self, w: &WeightSetting, cost: LexCost) {
-        let f = weight_fingerprint(w);
+    pub fn offer(&mut self, w: &W, cost: C) {
+        let f = w.fingerprint();
         if self
             .fingerprints
             .iter()
@@ -521,20 +563,23 @@ impl Archive {
         self.fingerprints.truncate(self.cap);
     }
 
+    /// Number of archived settings.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
+    /// `true` when nothing is archived yet.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    pub fn entries(&self) -> &[(WeightSetting, LexCost)] {
+    /// All entries, best-first.
+    pub fn entries(&self) -> &[(W, C)] {
         &self.entries
     }
 
     /// Uniformly random entry.
-    pub fn sample(&self, rng: &mut StdRng) -> Option<&(WeightSetting, LexCost)> {
+    pub fn sample(&self, rng: &mut StdRng) -> Option<&(W, C)> {
         if self.entries.is_empty() {
             None
         } else {
@@ -543,7 +588,7 @@ impl Archive {
     }
 
     /// Best entry.
-    pub fn best(&self) -> Option<&(WeightSetting, LexCost)> {
+    pub fn best(&self) -> Option<&(W, C)> {
         self.entries.first()
     }
 }

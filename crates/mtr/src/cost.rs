@@ -146,6 +146,16 @@ impl VecCost {
     }
 }
 
+impl dtr_core::search::SearchCost for VecCost {
+    fn better_than(&self, other: &Self) -> bool {
+        VecCost::better_than(self, other)
+    }
+
+    fn relative_improvement_over(&self, reference: &Self) -> f64 {
+        VecCost::relative_improvement_over(self, reference)
+    }
+}
+
 impl std::fmt::Display for VecCost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "⟨")?;

@@ -23,6 +23,13 @@
 //! * Criticality (Eqs. 8–9) becomes a per-class quantity; Phase 1c's
 //!   Algorithm 1 merge generalizes to a k-way merge over k descending
 //!   criticality lists ([`criticality::select_k`]).
+//! * The robust phase ([`robust`]) is not a copy of DTR Phase 2 but the
+//!   same code: both run the one robust-search driver
+//!   `dtr_core::driver` (speculative moves, incumbent-bounded sweeps
+//!   through the delta-state cache, portfolio replicas, checkpoints,
+//!   deadlines), with this crate supplying the k-class engine. The
+//!   search stats, stop rule and archive are the shared
+//!   `dtr_core::search` types.
 //!
 //! With `k = 2`, one SLA class and one congestion class, the engine is
 //! *behaviour-identical* to the DTR pipeline in `dtr-core` — a property
@@ -88,5 +95,5 @@ pub use params::MtrParams;
 pub use pipeline::{MtrOptimizer, MtrOptimizerBuilder, MtrReport};
 pub use robust::MtrRobustOutput;
 pub use samples::MtrSampleStore;
-pub use search::{MtrArchive, MtrRegularOutput, MtrStopRule};
+pub use search::{MtrArchive, MtrRegularOutput};
 pub use weights::MtrWeightSetting;

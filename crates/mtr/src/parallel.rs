@@ -11,6 +11,7 @@
 //! whole optimization trajectory — is identical for every thread count
 //! (and bit-for-bit identical to serial per-scenario evaluation).
 
+use dtr_core::parallel::{Sweep, SweepScratch};
 use dtr_routing::Scenario;
 
 use crate::cost::VecCost;
@@ -80,42 +81,6 @@ pub fn sum_failure_costs(
     acc
 }
 
-/// Reusable buffers of the incumbent-bounded k-class sweep
-/// ([`sum_failure_costs_bounded`]); warmed after the first sweep.
-#[derive(Clone, Debug, Default)]
-pub struct MtrSweepScratch {
-    /// Per-*position* raw scenario costs (aligned with the `scenarios`
-    /// slice); fully populated on [`MtrSweep::Complete`].
-    pub costs: Vec<VecCost>,
-    done: Vec<bool>,
-}
-
-impl MtrSweepScratch {
-    /// Fresh, empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Outcome of an incumbent-bounded k-class sweep.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MtrSweep {
-    /// All scenarios evaluated; bit-for-bit the [`sum_failure_costs`]
-    /// scenario-order weighted fold.
-    Complete(VecCost),
-    /// The partial fold proved the candidate cannot beat the incumbent.
-    Cut {
-        /// Scenarios evaluated before the proof fired.
-        evaluated: usize,
-        /// Whether the supplied floors were *necessary* for the proof:
-        /// `true` iff the same fold with the floors removed would still
-        /// have beaten the incumbent (i.e. without floors the sweep
-        /// would have kept evaluating at this point). Lets callers
-        /// attribute skips to floors vs. the plain cutoff.
-        floor_cut: bool,
-    },
-}
-
 /// Scenario-order weighted fold over the evaluated subset, with every
 /// not-yet-evaluated position standing in at its per-class floor
 /// (zero when no floors are supplied). A true lower bound of the
@@ -131,13 +96,13 @@ pub enum MtrSweep {
 fn fold_done(
     scenarios_len: usize,
     weights: Option<&[f64]>,
-    scratch: &MtrSweepScratch,
+    scratch: &SweepScratch<VecCost>,
     floors: Option<&[VecCost]>,
     acc: &mut VecCost,
 ) {
     acc.reset();
     for pos in 0..scenarios_len {
-        let c = if scratch.done[pos] {
+        let c = if scratch.is_done(pos) {
             &scratch.costs[pos]
         } else if let Some(f) = floors {
             &f[pos]
@@ -151,8 +116,8 @@ fn fold_done(
     }
 }
 
-/// Incumbent-bounded compound k-class sweep — the [`MtrSweep`] analogue
-/// of `dtr_core::parallel::sum_set_costs_bounded`, over a scenario slice
+/// Incumbent-bounded compound k-class sweep — the k-class analogue of
+/// `dtr_core::parallel::sum_set_costs_bounded`, over a scenario slice
 /// (+ optional per-scenario weights). Scenarios are evaluated in the
 /// caller-supplied `order` (a permutation of positions, typically
 /// costliest-under-the-incumbent first); the sweep is abandoned as soon
@@ -164,8 +129,8 @@ fn fold_done(
 /// either. When a delta-state `cache` (pointed at the incumbent via
 /// [`MtrEvaluator::cache_begin`]) is supplied, evaluations run through
 /// [`MtrEvaluator::cost_cached`] instead of the plain incremental path
-/// — same bits, a fraction of the work. A [`MtrSweep::Complete`] result
-/// is bit-for-bit [`sum_failure_costs`]; a [`MtrSweep::Cut`] result
+/// — same bits, a fraction of the work. A [`Sweep::Complete`] result
+/// is bit-for-bit [`sum_failure_costs`]; a [`Sweep::Cut`] result
 /// only replaces sweeps whose candidate the full fold would reject.
 /// With `threads > 1` the order is processed in fixed rounds of
 /// `threads · 4` scenarios with a cutoff check between rounds.
@@ -190,8 +155,8 @@ pub fn sum_failure_costs_bounded(
     seeds: &[(u32, VecCost)],
     floors: Option<&[VecCost]>,
     cache: Option<&MtrScenarioCache>,
-    scratch: &mut MtrSweepScratch,
-) -> MtrSweep {
+    scratch: &mut SweepScratch<VecCost>,
+) -> Sweep<VecCost> {
     assert!(threads >= 1);
     let n = scenarios.len();
     assert_eq!(order.len(), n, "order must be a permutation of positions");
@@ -209,8 +174,7 @@ pub fn sum_failure_costs_bounded(
         scratch.costs.clear();
         scratch.costs.resize(n, VecCost::zeros(k));
     }
-    scratch.done.clear();
-    scratch.done.resize(n, false);
+    scratch.reset_done(n);
     let mut acc = VecCost::zeros(k);
 
     let workers = threads.min(n);
@@ -233,7 +197,7 @@ pub fn sum_failure_costs_bounded(
                     }
                 }
             }
-            scratch.done[pos] = true;
+            scratch.set_done(pos);
             let evaluated = e + 1;
             if evaluated < n && evaluated % check_every == 0 {
                 fold_done(n, weights, scratch, floors, &mut acc);
@@ -243,7 +207,7 @@ pub fn sum_failure_costs_bounded(
                         fold_done(n, weights, scratch, None, &mut acc);
                         acc.better_than(incumbent)
                     };
-                    return MtrSweep::Cut {
+                    return Sweep::Cut {
                         evaluated,
                         floor_cut,
                     };
@@ -252,7 +216,7 @@ pub fn sum_failure_costs_bounded(
         }
         ev.release_workspace(ws);
         fold_done(n, weights, scratch, floors, &mut acc);
-        return MtrSweep::Complete(acc);
+        return Sweep::Complete(acc);
     }
 
     let round = workers * 4;
@@ -293,7 +257,7 @@ pub fn sum_failure_costs_bounded(
             for h in handles {
                 for (pos, c) in h.join().expect("bounded-sweep worker panicked") {
                     scratch.costs[pos as usize] = c;
-                    scratch.done[pos as usize] = true;
+                    scratch.set_done(pos as usize);
                 }
             }
         });
@@ -305,7 +269,7 @@ pub fn sum_failure_costs_bounded(
                     fold_done(n, weights, scratch, None, &mut acc);
                     acc.better_than(incumbent)
                 };
-                return MtrSweep::Cut {
+                return Sweep::Cut {
                     evaluated,
                     floor_cut,
                 };
@@ -313,7 +277,7 @@ pub fn sum_failure_costs_bounded(
         }
     }
     fold_done(n, weights, scratch, floors, &mut acc);
-    MtrSweep::Complete(acc)
+    Sweep::Complete(acc)
 }
 
 #[cfg(test)]
@@ -416,7 +380,7 @@ mod tests {
         let weights = vec![0.5; scenarios.len()];
         let never = VecCost::new(vec![f64::MAX; 2]);
         let order: Vec<u32> = (0..scenarios.len() as u32).rev().collect();
-        let mut scratch = MtrSweepScratch::new();
+        let mut scratch = SweepScratch::new();
         for weighting in [None, Some(weights.as_slice())] {
             for threads in [1, 4] {
                 let got = sum_failure_costs_bounded(
@@ -433,7 +397,7 @@ mod tests {
                     &mut scratch,
                 );
                 let want = sum_failure_costs(&ev, &w, &scenarios, weighting, 1);
-                assert_eq!(got, MtrSweep::Complete(want), "threads={threads}");
+                assert_eq!(got, Sweep::Complete(want), "threads={threads}");
                 // Per-position costs match the plain sweep.
                 assert_eq!(scratch.costs, failure_costs(&ev, &w, &scenarios, 1));
             }
@@ -447,7 +411,7 @@ mod tests {
         let w = MtrWeightSetting::uniform(2, net.num_links(), 20);
         let scenarios = Scenario::all_link_failures(&net);
         let order: Vec<u32> = (0..scenarios.len() as u32).collect();
-        let mut scratch = MtrSweepScratch::new();
+        let mut scratch = SweepScratch::new();
         let got = sum_failure_costs_bounded(
             &ev,
             &w,
@@ -463,7 +427,7 @@ mod tests {
         );
         assert_eq!(
             got,
-            MtrSweep::Cut {
+            Sweep::Cut {
                 evaluated: 1,
                 floor_cut: false
             }
@@ -495,7 +459,7 @@ mod tests {
             }
         }
         let order: Vec<u32> = (0..scenarios.len() as u32).collect();
-        let mut scratch = MtrSweepScratch::new();
+        let mut scratch = SweepScratch::new();
         // Beatable incumbent: floors never change a completed sweep.
         let never = VecCost::new(vec![f64::MAX; 2]);
         for threads in [1, 3] {
@@ -513,7 +477,7 @@ mod tests {
                 &mut scratch,
             );
             let want = sum_failure_costs(&ev, &w, &scenarios, None, 1);
-            assert_eq!(got, MtrSweep::Complete(want), "threads={threads}");
+            assert_eq!(got, Sweep::Complete(want), "threads={threads}");
         }
         // An incumbent below the summed floors is cut without finishing.
         let below = floor_sum.scale(0.5);
@@ -531,7 +495,7 @@ mod tests {
             &mut scratch,
         );
         assert!(
-            matches!(got, MtrSweep::Cut { .. }),
+            matches!(got, Sweep::Cut { .. }),
             "expected a cut, got {got:?}"
         );
     }

@@ -58,16 +58,12 @@ pub struct MtrParams {
     /// `dtr_core::search::speculative_sweep`).
     pub speculation: usize,
     /// Enable the incumbent-bounded early-cutoff failure sweeps of the
-    /// robust phase (float-exact rejection proof, see
-    /// [`crate::parallel::sum_failure_costs_bounded`]; the trajectory is
-    /// identical with it on or off).
+    /// robust phase, which always run through the delta-state
+    /// per-scenario cache ([`crate::MtrScenarioCache`]). Float-exact
+    /// rejection proof (see
+    /// [`crate::parallel::sum_failure_costs_bounded`]): the trajectory
+    /// is identical with it on or off.
     pub cutoff: bool,
-    /// Enable the delta-state per-scenario routing/load cache of the
-    /// robust phase's cutoff sweeps ([`crate::MtrScenarioCache`]; only
-    /// read when `cutoff` is on). Float-exact — the trajectory is
-    /// identical with it on or off; the flag exists so benchmarks can
-    /// attribute the cutoff and the cache separately.
-    pub cache: bool,
     /// Include the load-aware congestion Φ component in the per-class
     /// floors of the bounded sweeps
     /// ([`MtrEvaluator::scenario_floor`](crate::MtrEvaluator::scenario_floor));
@@ -79,11 +75,6 @@ pub struct MtrParams {
     /// Record the per-proposal accept/reject trace into the phase
     /// outputs (`dtr_core::search::MoveOutcome`). Off by default.
     pub record_trace: bool,
-    /// Smallest pending speculative batch worth fanning out eagerly when
-    /// `threads > 1` (see `dtr_core::search::EAGER_MIN_BATCH`, the
-    /// measured default). Purely a wall-clock knob: the trajectory is
-    /// bit-identical for every value.
-    pub eager_min_batch: usize,
     /// Portfolio/replica search for the robust phase: independent chains
     /// from derived seeds with index-ordered elite exchange
     /// ([`PortfolioParams::single()`] = classic search; see the
@@ -91,7 +82,7 @@ pub struct MtrParams {
     pub portfolio: PortfolioParams,
     /// Residency budget in bytes for the delta-state scenario cache of
     /// the robust-phase cutoff sweeps ([`crate::MtrScenarioCache`]; only
-    /// read when `cutoff` and `cache` are on). Scenarios past the budget
+    /// read when `cutoff` is on). Scenarios past the budget
     /// fall back to the plain per-class path, which returns the same
     /// bits — the trajectory is identical for every budget, only
     /// wall-clock and memory change. `usize::MAX` = unbounded.
@@ -135,10 +126,8 @@ impl MtrParams {
             threads: 1,
             speculation: 8,
             cutoff: true,
-            cache: true,
             phi_floors: true,
             record_trace: false,
-            eager_min_batch: dtr_core::search::EAGER_MIN_BATCH,
             portfolio: PortfolioParams::single(),
             cache_budget_bytes: usize::MAX,
             deadline_ms: None,
@@ -182,7 +171,6 @@ impl MtrParams {
         assert!(self.max_iterations >= 1);
         assert!(self.threads >= 1, "at least one worker thread");
         assert!(self.speculation >= 1, "speculation window K >= 1");
-        assert!(self.eager_min_batch >= 1, "eager batch threshold >= 1");
         self.portfolio.validate();
         if let Some(ms) = self.deadline_ms {
             assert!(ms >= 1, "deadline must be at least one millisecond");

@@ -13,6 +13,7 @@
 use std::time::{Duration, Instant};
 
 use dtr_core::scenario::ScenarioSet;
+use dtr_core::search::SearchStats;
 use dtr_core::FailureUniverse;
 use dtr_net::LinkId;
 use dtr_routing::Scenario;
@@ -22,7 +23,7 @@ use crate::criticality::{select_k, target_size, KWayCriticality};
 use crate::evaluator::MtrEvaluator;
 use crate::params::MtrParams;
 use crate::robust::{self, MtrRobustOutput};
-use crate::search::{self, MtrSearchStats};
+use crate::search;
 use crate::weights::MtrWeightSetting;
 
 /// The pipeline's full product.
@@ -60,9 +61,9 @@ pub struct MtrReport {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MtrPipelineStats {
     /// Regular-phase search effort.
-    pub regular: MtrSearchStats,
+    pub regular: SearchStats,
     /// Robust-phase search effort.
-    pub robust: MtrSearchStats,
+    pub robust: SearchStats,
     /// Evaluations spent topping up samples.
     pub top_up_evaluations: usize,
     /// Wall-clock of the regular phase (incl. top-up and selection).

@@ -7,331 +7,37 @@
 //! decides how much normal-performance degradation may be traded for
 //! robustness — `Pin` none (Eq. 5), `Relax(χ)` a χ budget (Eq. 6).
 //!
-//! Like the DTR Phase 2, the hill climber runs through the speculative
-//! batched-move kernel (`dtr_core::search::speculative_sweep`), and
-//! candidates that survive the constraint gate pay their failure sweep
-//! through the incumbent-bounded
-//! [`crate::parallel::sum_failure_costs_bounded`] (scenarios evaluated
-//! costliest-under-the-incumbent first, sweep abandoned once the partial
-//! fold *proves* the candidate loses). Both mechanisms are float-exact,
-//! so the trajectory is bit-for-bit identical for every speculation
-//! window, thread count and cutoff setting.
+//! The search loop is the robust-search driver shared with DTR Phase 2
+//! (`dtr_core::driver`): speculative batched moves, incumbent-bounded
+//! cutoff sweeps through the delta-state [`MtrScenarioCache`]
+//! ([`crate::parallel::sum_failure_costs_bounded`]), portfolio replicas,
+//! checkpoints and deadlines. This module is the k-class engine it
+//! drives. Every mechanism is float-exact, so the trajectory is
+//! bit-for-bit identical for every speculation window, thread count and
+//! cutoff setting.
 //!
 //! [`NormalConstraint`]: crate::class::NormalConstraint
 
-use std::time::{Duration, Instant};
-
-use dtr_core::params::replica_seed;
-use dtr_core::search::{speculative_sweep, Decision, MoveOutcome, SpecBuffers, Terminated};
+use dtr_core::driver::{self, RobustEngine, RobustOutput, RobustParams};
+use dtr_core::parallel::{Sweep, SweepScratch};
 use dtr_core::RunControl;
-use dtr_net::LinkId;
-use dtr_persist::SnapshotError;
+use dtr_net::{LinkId, Network};
+use dtr_persist::{Decoder, Encoder, SnapshotError};
 use dtr_routing::Scenario;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::class::ClassSpec;
 use crate::cost::VecCost;
 use crate::engine::MtrScenarioCache;
 use crate::evaluator::MtrEvaluator;
-use crate::parallel::{self, MtrSweep, MtrSweepScratch};
+use crate::parallel;
 use crate::params::MtrParams;
-use crate::search::{MtrArchive, MtrSearchStats, MtrStopRule};
+use crate::search::MtrArchive;
 use crate::weights::MtrWeightSetting;
 
 /// Result of the robust search.
-#[derive(Clone, Debug)]
-pub struct MtrRobustOutput {
-    /// The robust weight setting.
-    pub best: MtrWeightSetting,
-    /// Its compound failure cost over the critical scenarios.
-    pub best_kfail: VecCost,
-    /// Its normal-conditions cost (satisfies every class constraint).
-    pub best_normal: VecCost,
-    /// Moves rejected by the normal-conditions constraints (these skip
-    /// the failure sweep).
-    pub constraint_rejections: usize,
-    /// Per-proposal accept/reject sequence (empty unless
-    /// `params.record_trace`). In a portfolio run this is the winning
-    /// replica's trace.
-    pub trace: Vec<MoveOutcome>,
-    /// Per-replica accept/reject traces of a portfolio run, in replica
-    /// index order (empty unless `params.record_trace` and
-    /// `params.portfolio.replicas > 1`). Bit-for-bit reproducible for a
-    /// given `(seed, replicas, rendezvous_period)` at any thread count —
-    /// the parallel-search contract in `DETERMINISM.md`.
-    pub replica_traces: Vec<Vec<MoveOutcome>>,
-    /// Effort spent (portfolio runs merge per-replica stats in replica
-    /// index order via [`MtrSearchStats::merge`]).
-    pub stats: MtrSearchStats,
-    /// Why the run returned (convergence, deadline/kill, or an
-    /// already-terminal restored snapshot). Never affects *what* is
-    /// returned — see "The checkpoint contract" in `DETERMINISM.md`.
-    pub terminated: Terminated,
-}
-
-/// Re-sort the sweep's evaluation order by the incumbent's per-scenario
-/// (weighted) contribution *in excess of its floor*, descending, ties by
-/// position — the floor part of every scenario is already counted by the
-/// bounded fold's stand-ins, so a losing candidate's partial sum crosses
-/// the incumbent as early as possible when the high-excess scenarios are
-/// evaluated first.
-fn refresh_order(
-    order: &mut [u32],
-    costs: &[VecCost],
-    weights: Option<&[f64]>,
-    floors: Option<&[VecCost]>,
-) {
-    order.sort_by(|&a, &b| {
-        let (ca, cb) = (&costs[a as usize], &costs[b as usize]);
-        let (pa, pb) = match weights {
-            Some(sw) => (sw[a as usize], sw[b as usize]),
-            None => (1.0, 1.0),
-        };
-        for (i, (x, y)) in ca.components().iter().zip(cb.components()).enumerate() {
-            let (fa, fb) = match floors {
-                Some(f) => (f[a as usize].components()[i], f[b as usize].components()[i]),
-                None => (0.0, 0.0),
-            };
-            let o = ((y - fb) * pb).total_cmp(&((x - fa) * pa));
-            if o != std::cmp::Ordering::Equal {
-                return o;
-            }
-        }
-        a.cmp(&b)
-    });
-}
-
-/// Per-run state of the cutoff sweeps: evaluation order, cost scratch,
-/// per-scenario per-class floors (Λ, plus the load-aware Φ bound when
-/// `params.phi_floors`), and (when `params.cache`) the delta-state
-/// scenario cache pointed at the incumbent.
-struct SweepKit {
-    order: Vec<u32>,
-    scratch: MtrSweepScratch,
-    floors: Option<Vec<VecCost>>,
-    cache: Option<MtrScenarioCache>,
-}
-
-impl SweepKit {
-    fn new(ev: &MtrEvaluator<'_>, scenarios: &[Scenario], params: &MtrParams) -> Self {
-        SweepKit {
-            order: (0..scenarios.len() as u32).collect(),
-            scratch: MtrSweepScratch::new(),
-            floors: params.cutoff.then(|| {
-                scenarios
-                    .iter()
-                    .map(|&sc| {
-                        VecCost::new(if params.phi_floors {
-                            ev.scenario_floor(sc)
-                        } else {
-                            ev.lambda_floor(sc)
-                        })
-                    })
-                    .collect()
-            }),
-            cache: (params.cutoff && params.cache)
-                .then(|| MtrScenarioCache::with_budget(params.cache_budget_bytes)),
-        }
-    }
-}
-
-/// Capture sweep over `w`: rebuilds the delta-state cache (incumbent
-/// baseline + per-scenario residents) and refreshes the per-position
-/// cost scratch, sharding across `threads` workers (entries and cost
-/// slots are position-disjoint; the baseline is shared read-only).
-fn rebuild_cache(
-    ev: &MtrEvaluator<'_>,
-    scenarios: &[Scenario],
-    w: &MtrWeightSetting,
-    threads: usize,
-    cache: &mut MtrScenarioCache,
-    scratch: &mut MtrSweepScratch,
-) {
-    let mut ws = ev.acquire_workspace();
-    ev.cache_rebuild_begin(&mut ws, cache, w, scenarios.len());
-    scratch.costs.clear();
-    scratch
-        .costs
-        .resize(scenarios.len(), VecCost::zeros(ev.num_classes()));
-    // Budget-bounded caches capture position 0 serially as a calibration
-    // probe, then plan the resident prefix from its measured footprint;
-    // the non-resident tail is evaluated on the plain path, which
-    // returns the same bits (see `dtr_core::phase2::rebuild_cache`).
-    let mut captured = 0usize;
-    if cache.budget_bytes() != usize::MAX && !scenarios.is_empty() {
-        let (base, entries) = cache.capture_split();
-        scratch.costs[0] = ev.cost_capture_into(&mut ws, w, scenarios[0], base, &mut entries[0]);
-        captured = 1;
-    }
-    cache.plan_residency(scenarios.len());
-    let cap_hi = cache.resident_scenarios().max(captured);
-    let full = cache.full_resident_scenarios();
-    let workers = threads.min(scenarios.len().max(1));
-    if workers <= 1 {
-        let (base, entries) = cache.capture_split();
-        for pos in captured..cap_hi {
-            scratch.costs[pos] =
-                ev.cost_capture_into(&mut ws, w, scenarios[pos], base, &mut entries[pos]);
-        }
-        // Partial-tier positions capture fully (the capture eval *is*
-        // the exact cost) and immediately demote to the planned
-        // routings + loads footprint.
-        for entry in &mut entries[full..cap_hi] {
-            entry.demote();
-        }
-        for (c, &s) in scratch.costs[cap_hi..].iter_mut().zip(&scenarios[cap_hi..]) {
-            *c = ev.cost_with(&mut ws, w, s);
-        }
-        ev.release_workspace(ws);
-        return;
-    }
-    ev.release_workspace(ws);
-    {
-        let (base, entries) = cache.capture_split();
-        let scs = &scenarios[captured..cap_hi];
-        let ents = &mut entries[captured..cap_hi];
-        let csts = &mut scratch.costs[captured..cap_hi];
-        if !scs.is_empty() {
-            let chunk = scs.len().div_ceil(workers);
-            let parts: Vec<_> = scs
-                .chunks(chunk)
-                .zip(ents.chunks_mut(chunk))
-                .zip(csts.chunks_mut(chunk))
-                .collect();
-            dtr_core::parallel::scoped_fanout(parts, |((scs, ents), cst)| {
-                let mut ws = ev.acquire_workspace();
-                for ((&sc, entry), c) in scs.iter().zip(ents).zip(cst) {
-                    *c = ev.cost_capture_into(&mut ws, w, sc, base, entry);
-                }
-                ev.release_workspace(ws);
-            });
-        }
-        // See the serial branch: demote the partial-tier band.
-        for entry in &mut entries[full..cap_hi] {
-            entry.demote();
-        }
-    }
-    let tail = &scenarios[cap_hi..];
-    if !tail.is_empty() {
-        let csts = &mut scratch.costs[cap_hi..];
-        let chunk = tail.len().div_ceil(workers);
-        let parts: Vec<_> = tail.chunks(chunk).zip(csts.chunks_mut(chunk)).collect();
-        dtr_core::parallel::scoped_fanout(parts, |(scs, cst)| {
-            let mut ws = ev.acquire_workspace();
-            for (&sc, c) in scs.iter().zip(cst) {
-                *c = ev.cost_with(&mut ws, w, sc);
-            }
-            ev.release_workspace(ws);
-        });
-    }
-}
-
-/// Re-point the delta-state cache at the accepted incumbent `w`,
-/// sharding the per-entry refresh across `threads` workers — the
-/// k-class mirror of `dtr_core::phase2`'s sharded refresh: serial
-/// [`MtrEvaluator::cache_refresh_begin`], position-disjoint entry
-/// chunks through [`MtrEvaluator::cache_refresh_entry`] on pooled
-/// workspaces, then [`MtrEvaluator::cache_refresh_finish`].
-/// Bit-identical to the serial [`MtrEvaluator::cache_refresh`] at any
-/// thread count (the parallel-search contract in `DETERMINISM.md`).
-fn refresh_cache(
-    ev: &MtrEvaluator<'_>,
-    scenarios: &[Scenario],
-    w: &MtrWeightSetting,
-    threads: usize,
-    cache: &mut MtrScenarioCache,
-) {
-    let resident = cache.resident_scenarios();
-    let workers = threads.min(resident.max(1));
-    let mut ws = ev.acquire_workspace();
-    ev.cache_refresh_begin(&mut ws, cache, w);
-    if workers <= 1 {
-        let (ctx, entries) = cache.refresh_split();
-        for (pos, entry) in entries.iter_mut().enumerate().take(resident) {
-            ev.cache_refresh_entry(&mut ws, w, &ctx, scenarios[pos], entry);
-        }
-        ev.release_workspace(ws);
-    } else {
-        ev.release_workspace(ws);
-        let (ctx, entries) = cache.refresh_split();
-        let chunk = resident.div_ceil(workers);
-        let parts: Vec<_> = scenarios[..resident]
-            .chunks(chunk)
-            .zip(entries[..resident].chunks_mut(chunk))
-            .collect();
-        dtr_core::parallel::scoped_fanout(parts, |(scs, ents)| {
-            let mut ws = ev.acquire_workspace();
-            for (&sc, entry) in scs.iter().zip(ents) {
-                ev.cache_refresh_entry(&mut ws, w, &ctx, sc, entry);
-            }
-            ev.release_workspace(ws);
-        });
-    }
-    ev.cache_refresh_finish(cache, w);
-}
-
-/// Full compound sweep: bit-for-bit [`parallel::sum_failure_costs`].
-/// With the cutoff enabled it captures the delta-state cache on `w` (or,
-/// cache-off, runs the bounded kernel against an unbeatable incumbent)
-/// so the per-position costs land in the scratch and the evaluation
-/// order can be refreshed.
-#[allow(clippy::too_many_arguments)]
-fn full_sweep(
-    ev: &MtrEvaluator<'_>,
-    scenarios: &[Scenario],
-    weights: Option<&[f64]>,
-    params: &MtrParams,
-    w: &MtrWeightSetting,
-    never_cut: &VecCost,
-    stats: &mut MtrSearchStats,
-    kit: &mut SweepKit,
-) -> VecCost {
-    stats.evaluations += scenarios.len();
-    if !params.cutoff {
-        return parallel::sum_failure_costs(ev, w, scenarios, weights, params.threads);
-    }
-    let kfail = if let Some(cache) = kit.cache.as_mut() {
-        rebuild_cache(ev, scenarios, w, params.threads, cache, &mut kit.scratch);
-        let resident = cache.resident_scenarios();
-        stats.cache_resident_scenarios = stats.cache_resident_scenarios.max(resident);
-        stats.cache_fallback_evals += scenarios.len() - resident;
-        // Scenario-order weighted fold — the seed's float-add sequence.
-        let mut acc = VecCost::zeros(ev.num_classes());
-        for (pos, c) in kit.scratch.costs.iter().enumerate() {
-            match weights {
-                None => acc.add_assign(c),
-                Some(sw) => acc.add_scaled_assign(c, sw[pos]),
-            }
-        }
-        acc
-    } else {
-        match parallel::sum_failure_costs_bounded(
-            ev,
-            w,
-            scenarios,
-            weights,
-            params.threads,
-            never_cut,
-            &kit.order,
-            &[],
-            kit.floors.as_deref(),
-            None,
-            &mut kit.scratch,
-        ) {
-            MtrSweep::Complete(kfail) => kfail,
-            MtrSweep::Cut { .. } => unreachable!("nothing beats the never-cut incumbent"),
-        }
-    };
-    refresh_order(
-        &mut kit.order,
-        &kit.scratch.costs,
-        weights,
-        kit.floors.as_deref(),
-    );
-    kfail
-}
+pub type MtrRobustOutput = RobustOutput<MtrWeightSetting, VecCost>;
 
 /// Per-class feasibility of a candidate's normal-conditions cost against
 /// the regular-phase benchmarks (the k-class Eqs. 5–6).
@@ -345,913 +51,362 @@ pub fn feasible(normal: &VecCost, benchmark: &VecCost, specs: &[ClassSpec]) -> b
         .all(|((&c, &b), spec)| spec.constraint.allows(c, b))
 }
 
-/// The candidate cost the speculative fan-out hands back: the
-/// normal-conditions k-vector cost plus the eager failure-sweep seed
-/// prefix (empty for gate-failing candidates and for serial or
-/// cutoff-off runs — see `sum_failure_costs_bounded`'s seed contract).
-type SpecCost = (VecCost, Vec<(u32, VecCost)>);
-
-/// One replica's persistent search state: everything the classic
-/// single-chain robust loop keeps across sweeps, owned per replica so
-/// portfolio chains can run concurrently between rendezvous (the
-/// parallel-search contract in `DETERMINISM.md`). `params` is the
-/// replica-local copy — derived master seed, `1/replicas` share of the
-/// worker threads; every other knob matches the run's. With
-/// `replicas == 1` the chain *is* the classic search, bit for bit.
-struct Chain {
-    params: MtrParams,
-    rng: StdRng,
-    stats: MtrSearchStats,
-    constraint_rejections: usize,
-    trace: Vec<MoveOutcome>,
-    never_cut: VecCost,
-    kit: SweepKit,
-    current: MtrWeightSetting,
-    current_normal: VecCost,
-    current_kfail: VecCost,
-    best: MtrWeightSetting,
-    best_kfail: VecCost,
-    best_normal: VecCost,
-    stop: MtrStopRule,
-    reps: Vec<LinkId>,
-    stale_sweeps: usize,
-    spec: SpecBuffers<MtrWeightSetting, Vec<u32>, SpecCost>,
-    seed_prefix: Vec<u32>,
-    /// Replica-local archive (a clone of the regular phase's):
-    /// diversification restarts sample from it, and rendezvous merges
-    /// offer the other replicas' elites into it in replica index order.
-    archive: MtrArchive,
-    done: bool,
+/// The engine-independent knobs of `params`.
+fn robust_params(params: &MtrParams) -> RobustParams {
+    RobustParams {
+        wmax: params.wmax,
+        c: params.c,
+        p2: params.p2,
+        div_interval_2: params.div_interval_2,
+        archive_size: params.archive_size,
+        max_iterations: params.max_iterations,
+        threads: params.threads,
+        speculation: params.speculation,
+        cutoff: params.cutoff,
+        phi_floors: params.phi_floors,
+        record_trace: params.record_trace,
+        portfolio: params.portfolio,
+        cache_budget_bytes: params.cache_budget_bytes,
+        deadline_ms: params.deadline_ms,
+        checkpoint_every: params.checkpoint_every,
+        seed: params.seed,
+    }
 }
 
-impl Chain {
-    /// Start a chain from the best archived setting — the classic
-    /// robust-phase prologue (initial full sweep included).
-    fn new(
-        ev: &MtrEvaluator<'_>,
-        scenarios: &[Scenario],
-        scenario_weights: Option<&[f64]>,
-        params: MtrParams,
-        archive: &MtrArchive,
-    ) -> Self {
-        let rng = StdRng::seed_from_u64(params.seed ^ 0x2545_f491_4f6c_dd1d);
-        // An incumbent no finite partial sum fails to beat — turns the
-        // bounded kernel into a plain full sweep that also fills the
-        // per-position cost scratch (costs stay far below f64::MAX).
-        let never_cut = VecCost::new(vec![f64::MAX; ev.num_classes()]);
-        let mut kit = SweepKit::new(ev, scenarios, &params);
-        let mut stats = MtrSearchStats::default();
-        let archive = archive.clone();
-        let (current, current_normal) = archive
-            .best()
-            .cloned()
-            .expect("the regular phase archives at least its best setting");
-        let current_kfail = full_sweep(
-            ev,
-            scenarios,
-            scenario_weights,
-            &params,
-            &current,
-            &never_cut,
-            &mut stats,
-            &mut kit,
-        );
-        Chain {
-            rng,
-            stats,
-            constraint_rejections: 0,
-            trace: Vec::new(),
-            never_cut,
-            kit,
-            best: current.clone(),
-            best_kfail: current_kfail.clone(),
-            best_normal: current_normal.clone(),
-            current,
-            current_normal,
-            current_kfail,
-            stop: MtrStopRule::new(params.p2, params.c),
-            reps: ev.net().duplex_representatives(),
-            stale_sweeps: 0,
-            spec: SpecBuffers::new(),
-            seed_prefix: Vec::new(),
-            archive,
-            done: false,
-            params,
+/// The k-class engine: one evaluator over a critical scenario slice
+/// (optionally probability-weighted), gated per class against the
+/// regular-phase benchmark.
+struct Mtr<'a, 'e> {
+    ev: &'a MtrEvaluator<'e>,
+    scenarios: &'a [Scenario],
+    weights: Option<&'a [f64]>,
+    benchmark: &'a VecCost,
+}
+
+impl RobustEngine for Mtr<'_, '_> {
+    type Weights = MtrWeightSetting;
+    type Cost = VecCost;
+    type Move = Vec<u32>;
+    type Floor = VecCost;
+    type Cache = MtrScenarioCache;
+
+    const KIND: u32 = dtr_persist::KIND_MTR_ROBUST;
+    const PROMOTE_RESTARTS: bool = true;
+
+    fn net(&self) -> &Network {
+        self.ev.net()
+    }
+
+    fn len(&self) -> usize {
+        self.scenarios.len()
+    }
+
+    fn num_components(&self) -> usize {
+        self.ev.num_classes()
+    }
+
+    fn draw(&self, wmax: u32, rng: &mut StdRng) -> Vec<u32> {
+        (0..self.ev.num_classes())
+            .map(|_| rng.gen_range(1..=wmax))
+            .collect()
+    }
+
+    fn read(&self, w: &MtrWeightSetting, rep: LinkId) -> Vec<u32> {
+        (0..self.ev.num_classes()).map(|c| w.get(c, rep)).collect()
+    }
+
+    fn apply(&self, w: &mut MtrWeightSetting, rep: LinkId, mv: &Vec<u32>) {
+        for (c, &v) in mv.iter().enumerate() {
+            w.set_duplex(self.ev.net(), c, rep, v);
         }
     }
 
-    /// Finish a single-chain run (no portfolio): the classic output.
-    fn into_output(self, terminated: Terminated) -> MtrRobustOutput {
-        MtrRobustOutput {
-            best: self.best,
-            best_kfail: self.best_kfail,
-            best_normal: self.best_normal,
-            constraint_rejections: self.constraint_rejections,
-            trace: self.trace,
-            replica_traces: Vec::new(),
-            stats: self.stats,
-            terminated,
-        }
+    fn normal_cost(&self, w: &MtrWeightSetting) -> VecCost {
+        self.ev.cost(w, Scenario::Normal)
     }
-}
 
-// ---------------------------------------------------------------------
-// Snapshot codec — the k-class mirror of `dtr_core::phase2`'s ("The
-// checkpoint contract", DETERMINISM.md).
-//
-// A snapshot captures every bit of chain state the trajectory depends
-// on: the RNG stream position, current/best settings and their k-vector
-// costs, the stop-rule trailing history, the shuffled representative
-// order, the replica-local archive, stats and trace. The delta-state
-// scenario cache is NOT serialized: its entries are a pure function of
-// the current incumbent, so restore rebuilds them with a capture sweep
-// that is bit-identical to the refreshed cache it replaces; the
-// per-position cost scratch and the evaluation order fall out of the
-// same sweep (cache-off cutoff runs refill the scratch through the
-// bounded kernel against the never-cut incumbent, exactly the
-// `full_sweep` path), and the floors are weight-independent and
-// recomputed.
+    fn feasible(&self, normal: &VecCost) -> bool {
+        feasible(normal, self.benchmark, &self.ev.config().specs)
+    }
 
-const SEC_CONFIG: u32 = 0x10;
-const SEC_CHAIN: u32 = 0x20;
-
-fn put_vec_cost(enc: &mut dtr_persist::Encoder, c: &VecCost) {
-    enc.put_slice_f64(c.components());
-}
-
-fn take_vec_cost(rd: &mut dtr_persist::Decoder<'_>, k: usize) -> Result<VecCost, SnapshotError> {
-    let v = rd.take_vec_f64()?;
-    if v.len() != k {
-        return Err(SnapshotError::Corrupt("cost vector length differs"));
-    }
-    Ok(VecCost::new(v))
-}
-
-fn put_weights(enc: &mut dtr_persist::Encoder, w: &MtrWeightSetting) {
-    for k in 0..w.num_classes() {
-        enc.put_slice_u32(w.weights(k));
-    }
-}
-
-fn take_weights(
-    rd: &mut dtr_persist::Decoder<'_>,
-    k: usize,
-    wmax: u32,
-    num_links: usize,
-) -> Result<MtrWeightSetting, SnapshotError> {
-    let mut per_class = Vec::with_capacity(k);
-    for _ in 0..k {
-        let v = rd.take_vec_u32()?;
-        if v.len() != num_links {
-            return Err(SnapshotError::Corrupt("weight vector length differs"));
-        }
-        if v.iter().any(|&w| w < 1 || w > wmax) {
-            return Err(SnapshotError::Corrupt("weight outside [1, wmax]"));
-        }
-        per_class.push(v);
-    }
-    Ok(MtrWeightSetting::from_vecs(per_class, wmax))
-}
-
-fn put_stats(enc: &mut dtr_persist::Encoder, s: &MtrSearchStats) {
-    enc.put_usize(s.iterations);
-    enc.put_usize(s.evaluations);
-    enc.put_usize(s.diversifications);
-    enc.put_usize(s.scenario_evals_skipped);
-    enc.put_usize(s.skipped_floor);
-    enc.put_usize(s.skipped_cache);
-    enc.put_usize(s.skipped_cutoff);
-    enc.put_usize(s.speculative_wasted);
-    enc.put_usize(s.cache_resident_scenarios);
-    enc.put_usize(s.cache_fallback_evals);
-}
-
-fn take_stats(rd: &mut dtr_persist::Decoder<'_>) -> Result<MtrSearchStats, SnapshotError> {
-    Ok(MtrSearchStats {
-        iterations: rd.take_usize()?,
-        evaluations: rd.take_usize()?,
-        diversifications: rd.take_usize()?,
-        scenario_evals_skipped: rd.take_usize()?,
-        skipped_floor: rd.take_usize()?,
-        skipped_cache: rd.take_usize()?,
-        skipped_cutoff: rd.take_usize()?,
-        speculative_wasted: rd.take_usize()?,
-        cache_resident_scenarios: rd.take_usize()?,
-        cache_fallback_evals: rd.take_usize()?,
-    })
-}
-
-/// Serialize one chain into an open snapshot. Steady-state
-/// allocation-free like `dtr_core::phase2::encode_chain`: every write
-/// appends into the encoder's reusable buffer (registered in
-/// `crates/analysis/hot_paths.toml`, proven by `tests/alloc_free.rs`).
-fn encode_chain(enc: &mut dtr_persist::Encoder, ch: &Chain) {
-    enc.begin_section(SEC_CHAIN);
-    for word in ch.rng.state() {
-        enc.put_u64(word);
-    }
-    put_stats(enc, &ch.stats);
-    enc.put_usize(ch.constraint_rejections);
-    enc.put_usize(ch.trace.len());
-    for m in &ch.trace {
-        enc.put_u8(match m {
-            MoveOutcome::ConstraintReject => 0,
-            MoveOutcome::Reject => 1,
-            MoveOutcome::Accept => 2,
-        });
-    }
-    put_weights(enc, &ch.current);
-    put_vec_cost(enc, &ch.current_normal);
-    put_vec_cost(enc, &ch.current_kfail);
-    put_weights(enc, &ch.best);
-    put_vec_cost(enc, &ch.best_kfail);
-    put_vec_cost(enc, &ch.best_normal);
-    enc.put_usize(ch.stop.history().len());
-    for c in ch.stop.history() {
-        put_vec_cost(enc, c);
-    }
-    enc.put_usize(ch.reps.len());
-    for r in &ch.reps {
-        enc.put_u32(r.index() as u32);
-    }
-    enc.put_usize(ch.stale_sweeps);
-    enc.put_usize(ch.archive.len());
-    for (w, cost) in ch.archive.entries() {
-        put_weights(enc, w);
-        put_vec_cost(enc, cost);
-    }
-    enc.put_bool(ch.done);
-    enc.end_section();
-}
-
-/// Rebuild one chain from an open snapshot. `params` is the
-/// replica-local parameter block (derived seed, thread share) the
-/// resumed run would hand a fresh chain. Decoding allocates freely —
-/// restore runs once, outside every sweep kernel.
-fn decode_chain(
-    rd: &mut dtr_persist::Decoder<'_>,
-    ev: &MtrEvaluator<'_>,
-    scenarios: &[Scenario],
-    scenario_weights: Option<&[f64]>,
-    params: MtrParams,
-) -> Result<Chain, SnapshotError> {
-    rd.section(SEC_CHAIN)?;
-    let mut state = [0u64; 4];
-    for word in &mut state {
-        *word = rd.take_u64()?;
-    }
-    let rng = StdRng::from_state(state);
-    let mut stats = take_stats(rd)?;
-    let constraint_rejections = rd.take_usize()?;
-    let trace_len = rd.take_len(1)?;
-    let mut trace = Vec::with_capacity(trace_len);
-    for _ in 0..trace_len {
-        trace.push(match rd.take_u8()? {
-            0 => MoveOutcome::ConstraintReject,
-            1 => MoveOutcome::Reject,
-            2 => MoveOutcome::Accept,
-            _ => return Err(SnapshotError::Corrupt("move outcome out of range")),
-        });
-    }
-    let k = ev.num_classes();
-    let num_links = ev.net().num_links();
-    let current = take_weights(rd, k, params.wmax, num_links)?;
-    let current_normal = take_vec_cost(rd, k)?;
-    let current_kfail = take_vec_cost(rd, k)?;
-    let best = take_weights(rd, k, params.wmax, num_links)?;
-    let best_kfail = take_vec_cost(rd, k)?;
-    let best_normal = take_vec_cost(rd, k)?;
-    let hist_len = rd.take_len(8)?;
-    let mut history = Vec::with_capacity(hist_len);
-    for _ in 0..hist_len {
-        history.push(take_vec_cost(rd, k)?);
-    }
-    let mut stop = MtrStopRule::new(params.p2, params.c);
-    stop.restore_history(history);
-    let reps_len = rd.take_len(4)?;
-    let mut reps = Vec::with_capacity(reps_len);
-    for _ in 0..reps_len {
-        let x = rd.take_u32()? as usize;
-        if x >= num_links {
-            return Err(SnapshotError::Corrupt("representative link out of range"));
-        }
-        reps.push(LinkId::new(x));
-    }
-    let stale_sweeps = rd.take_usize()?;
-    let arch_len = rd.take_len(8)?;
-    let mut archive = MtrArchive::new(params.archive_size);
-    for _ in 0..arch_len {
-        let w = take_weights(rd, k, params.wmax, num_links)?;
-        let cost = take_vec_cost(rd, k)?;
-        // Entries were stored best-first, so re-offering in order
-        // reproduces the archive exactly (each entry appends; the
-        // fingerprints are recomputed).
-        archive.offer(&w, cost);
-    }
-    let done = rd.take_bool()?;
-
-    // Rebuild the evaluation-order state. The delta-state cache is a
-    // pure function of the restored incumbent, so a capture sweep over
-    // `current` reproduces, bit for bit, the entries and per-position
-    // costs the refreshed cache held at the checkpoint; cache-off
-    // cutoff runs refill the scratch through the bounded kernel
-    // against the never-cut incumbent (the `full_sweep` path). The
-    // floors are weight-independent and recomputed by `SweepKit::new`.
-    // Neither rebuild touches the *logical* `evaluations` counter —
-    // the restored stats must match an uninterrupted run's (the
-    // residency gauge and fallback counter are attribution-only and
-    // masked by the equivalence suites).
-    let never_cut = VecCost::new(vec![f64::MAX; k]);
-    let mut kit = SweepKit::new(ev, scenarios, &params);
-    if params.cutoff && !scenarios.is_empty() {
-        if let Some(cache) = kit.cache.as_mut() {
-            rebuild_cache(
-                ev,
-                scenarios,
-                &current,
-                params.threads,
-                cache,
-                &mut kit.scratch,
-            );
-            stats.cache_resident_scenarios = stats
-                .cache_resident_scenarios
-                .max(cache.resident_scenarios());
-        } else {
-            match parallel::sum_failure_costs_bounded(
-                ev,
-                &current,
-                scenarios,
-                scenario_weights,
-                params.threads,
-                &never_cut,
-                &kit.order,
-                &[],
-                kit.floors.as_deref(),
-                None,
-                &mut kit.scratch,
-            ) {
-                MtrSweep::Complete(_) => {}
-                MtrSweep::Cut { .. } => unreachable!("nothing beats the never-cut incumbent"),
-            }
-        }
-        refresh_order(
-            &mut kit.order,
-            &kit.scratch.costs,
-            scenario_weights,
-            kit.floors.as_deref(),
-        );
-    }
-    Ok(Chain {
-        params,
-        rng,
-        stats,
-        constraint_rejections,
-        trace,
-        never_cut,
-        kit,
-        current,
-        current_normal,
-        current_kfail,
-        best,
-        best_kfail,
-        best_normal,
-        stop,
-        reps,
-        stale_sweeps,
-        spec: SpecBuffers::new(),
-        seed_prefix: Vec::new(),
-        archive,
-        done,
-    })
-}
-
-/// Write the whole run state (config fingerprint + every chain) into
-/// `enc`, leaving it ready for `finish()`. Steady-state
-/// allocation-free like [`encode_chain`].
-#[allow(clippy::too_many_arguments)]
-fn encode_snapshot(
-    enc: &mut dtr_persist::Encoder,
-    params: &MtrParams,
-    scenarios_len: usize,
-    num_links: usize,
-    k: usize,
-    benchmark: &VecCost,
-    boundary: u64,
-    chains: &[Chain],
-) {
-    enc.begin(dtr_persist::KIND_MTR_ROBUST);
-    enc.begin_section(SEC_CONFIG);
-    enc.put_u64(params.seed);
-    enc.put_usize(params.portfolio.replicas);
-    enc.put_usize(params.portfolio.rendezvous_period);
-    enc.put_usize(scenarios_len);
-    enc.put_usize(num_links);
-    enc.put_usize(k);
-    enc.put_u32(params.wmax);
-    enc.put_usize(params.p2);
-    enc.put_f64(params.c);
-    enc.put_usize(params.div_interval_2);
-    enc.put_usize(params.max_iterations);
-    enc.put_usize(params.archive_size);
-    enc.put_slice_f64(benchmark.components());
-    enc.put_u64(boundary);
-    enc.put_usize(chains.len());
-    enc.end_section();
-    for ch in chains {
-        encode_chain(enc, ch);
-    }
-}
-
-/// Check the stored config fingerprint against the resuming run and
-/// recover the boundary counter. Only trajectory-determining knobs are
-/// fingerprinted: `threads`, `speculation`, `cutoff`, `cache`,
-/// `phi_floors`, the cache budget and the eager batch size may all
-/// legally differ between the saving and the resuming process — the
-/// determinism contract makes the continued trajectory identical
-/// regardless.
-fn decode_config(
-    rd: &mut dtr_persist::Decoder<'_>,
-    params: &MtrParams,
-    scenarios_len: usize,
-    num_links: usize,
-    k: usize,
-    benchmark: &VecCost,
-) -> Result<u64, SnapshotError> {
-    rd.section(SEC_CONFIG)?;
-    if rd.take_u64()? != params.seed {
-        return Err(SnapshotError::Mismatch("seed differs"));
-    }
-    if rd.take_usize()? != params.portfolio.replicas {
-        return Err(SnapshotError::Mismatch("replica count differs"));
-    }
-    if rd.take_usize()? != params.portfolio.rendezvous_period {
-        return Err(SnapshotError::Mismatch("rendezvous period differs"));
-    }
-    if rd.take_usize()? != scenarios_len {
-        return Err(SnapshotError::Mismatch("scenario count differs"));
-    }
-    if rd.take_usize()? != num_links {
-        return Err(SnapshotError::Mismatch("link count differs"));
-    }
-    if rd.take_usize()? != k {
-        return Err(SnapshotError::Mismatch("class count differs"));
-    }
-    if rd.take_u32()? != params.wmax {
-        return Err(SnapshotError::Mismatch("wmax differs"));
-    }
-    if rd.take_usize()? != params.p2 {
-        return Err(SnapshotError::Mismatch("stop window differs"));
-    }
-    if rd.take_f64()?.to_bits() != params.c.to_bits() {
-        return Err(SnapshotError::Mismatch("stop threshold differs"));
-    }
-    if rd.take_usize()? != params.div_interval_2 {
-        return Err(SnapshotError::Mismatch("diversification interval differs"));
-    }
-    if rd.take_usize()? != params.max_iterations {
-        return Err(SnapshotError::Mismatch("iteration cap differs"));
-    }
-    if rd.take_usize()? != params.archive_size {
-        return Err(SnapshotError::Mismatch("archive size differs"));
-    }
-    let stored_bench = rd.take_vec_f64()?;
-    if stored_bench.len() != k
-        || stored_bench
+    fn seed_costs(&self, w: &MtrWeightSetting, positions: &[u32]) -> Vec<(u32, VecCost)> {
+        let mut ws = self.ev.acquire_workspace();
+        let seeds = positions
             .iter()
-            .zip(benchmark.components())
-            .any(|(a, b)| a.to_bits() != b.to_bits())
-    {
-        return Err(SnapshotError::Mismatch("benchmark differs"));
+            .map(|&p| {
+                let sc = self.scenarios[p as usize];
+                (p, self.ev.cost_with(&mut ws, w, sc))
+            })
+            .collect();
+        self.ev.release_workspace(ws);
+        seeds
     }
-    let boundary = rd.take_u64()?;
-    if rd.take_usize()? != params.portfolio.replicas {
-        return Err(SnapshotError::Corrupt("chain count differs from replicas"));
-    }
-    Ok(boundary)
-}
 
-/// Boundary bookkeeping shared by both drivers — the k-class mirror of
-/// `dtr_core::phase2`'s: checkpoint when the cadence is due, then
-/// decide whether the run ends here (injected kill-point or wall-clock
-/// deadline). The decision only reads *whether* to stop — never which
-/// move to accept — so every prefix of the trajectory matches an
-/// uncontrolled run's bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn at_boundary(
-    enc: &mut dtr_persist::Encoder,
-    params: &MtrParams,
-    scenarios_len: usize,
-    num_links: usize,
-    k: usize,
-    benchmark: &VecCost,
-    boundary: u64,
-    chains: &[Chain],
-    deadline: Option<Instant>,
-    ctl: &mut RunControl<'_>,
-) -> Result<Option<Terminated>, SnapshotError> {
-    if params.checkpoint_every != 0 && boundary.is_multiple_of(params.checkpoint_every as u64) {
-        if let Some(sink) = ctl.sink.as_mut() {
-            encode_snapshot(
-                enc,
-                params,
-                scenarios_len,
-                num_links,
-                k,
-                benchmark,
-                boundary,
-                chains,
-            );
-            sink.store(enc.finish())?;
-        }
+    fn sum_costs(&self, w: &MtrWeightSetting, threads: usize) -> VecCost {
+        parallel::sum_failure_costs(self.ev, w, self.scenarios, self.weights, threads)
     }
-    if ctl.kill_after.is_some_and(|kb| boundary >= kb) {
-        return Ok(Some(Terminated::Deadline));
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Ok(Some(Terminated::Deadline));
-    }
-    Ok(None)
-}
 
-/// Boundary-driven driver behind [`run`], [`run_controlled`] and
-/// [`resume`]: sweeps chains between boundaries, checkpoints and
-/// decides termination only at boundaries, and assembles the output.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    ev: &MtrEvaluator<'_>,
-    scenarios: &[Scenario],
-    scenario_weights: Option<&[f64]>,
-    benchmark: &VecCost,
-    params: &MtrParams,
-    mut chains: Vec<Chain>,
-    start_boundary: u64,
-    restored: bool,
-    ctl: &mut RunControl<'_>,
-) -> Result<MtrRobustOutput, SnapshotError> {
-    let deadline = params
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut enc = dtr_persist::Encoder::new();
-    let num_links = ev.net().num_links();
-    let k = ev.num_classes();
-    let mut boundary = start_boundary;
-    let mut terminated = if restored && chains.iter().all(|c| c.done) {
-        Terminated::Restored
-    } else {
-        Terminated::Converged
-    };
-
-    if params.portfolio.replicas == 1 {
-        let mut ch = chains.pop().expect("exactly one chain");
-        if !scenarios.is_empty() {
-            while !ch.done {
-                chain_sweep(ev, scenarios, scenario_weights, benchmark, &mut ch);
-                boundary += 1;
-                if let Some(t) = at_boundary(
-                    &mut enc,
-                    params,
-                    scenarios.len(),
-                    num_links,
-                    k,
-                    benchmark,
-                    boundary,
-                    std::slice::from_ref(&ch),
-                    deadline,
-                    ctl,
-                )? {
-                    terminated = t;
-                    break;
-                }
+    /// Scenario-order weighted fold — the seed's float-add sequence.
+    fn fold(&self, costs: &[VecCost]) -> VecCost {
+        let mut acc = VecCost::zeros(self.ev.num_classes());
+        for (pos, c) in costs.iter().enumerate() {
+            match self.weights {
+                None => acc.add_assign(c),
+                Some(sw) => acc.add_scaled_assign(c, sw[pos]),
             }
         }
-        return Ok(ch.into_output(terminated));
+        acc
     }
 
-    // Portfolio search (parallel-search contract, `DETERMINISM.md`):
-    // every cross-replica step — elite collection, archive offers, the
-    // final winner pick and stat merge — happens in replica index
-    // order on the coordinating thread, so the output depends only on
-    // `(seed, replicas, rendezvous_period)`, never on thread count.
-    if !scenarios.is_empty() {
-        let mut elites: Vec<(MtrWeightSetting, VecCost)> = Vec::new();
-        while chains.iter().any(|c| !c.done) {
-            dtr_core::parallel::scoped_fanout(
-                chains.iter_mut().filter(|c| !c.done).collect(),
-                |ch: &mut Chain| {
-                    for _ in 0..params.portfolio.rendezvous_period {
-                        chain_sweep(ev, scenarios, scenario_weights, benchmark, ch);
-                        if ch.done {
-                            break;
-                        }
-                    }
-                },
-            );
-            // Rendezvous: collect every replica's elite in index order,
-            // then offer the batch into every archive in that same
-            // order. `MtrArchive::offer` dedups by fingerprint, so
-            // repeat offers across rendezvous are no-ops and the merge
-            // is idempotent.
-            elites.clear();
-            elites.extend(
-                chains
-                    .iter()
-                    .map(|c| (c.best.clone(), c.best_normal.clone())),
-            );
-            for ch in chains.iter_mut() {
-                for (w, normal) in &elites {
-                    ch.archive.offer(w, normal.clone());
-                }
-            }
-            boundary += 1;
-            if let Some(t) = at_boundary(
-                &mut enc,
-                params,
-                scenarios.len(),
-                num_links,
-                k,
-                benchmark,
-                boundary,
-                &chains,
-                deadline,
-                ctl,
-            )? {
-                terminated = t;
-                break;
-            }
+    fn excess(&self, pos: usize, c: &VecCost, floor: &VecCost, k: usize) -> f64 {
+        let x = c.component(k) - floor.component(k);
+        self.weights.map_or(x, |sw| x * sw[pos])
+    }
+
+    fn floors(&self, phi_floors: bool) -> Vec<VecCost> {
+        self.scenarios
+            .iter()
+            .map(|&sc| {
+                VecCost::new(if phi_floors {
+                    self.ev.scenario_floor(sc)
+                } else {
+                    self.ev.lambda_floor(sc)
+                })
+            })
+            .collect()
+    }
+
+    fn new_cache(&self, budget_bytes: usize) -> MtrScenarioCache {
+        MtrScenarioCache::with_budget(budget_bytes)
+    }
+
+    fn resident(&self, cache: &MtrScenarioCache) -> usize {
+        cache.resident_scenarios()
+    }
+
+    /// Capture sweep over `w`: rebuilds the delta-state cache (incumbent
+    /// baseline + per-scenario residents) and refreshes the per-position
+    /// costs, sharding across `threads` workers (entries and cost slots
+    /// are position-disjoint; the baseline is shared read-only).
+    /// Budget-bounded caches capture position 0 serially as a
+    /// calibration probe, then plan the resident prefix from its
+    /// measured footprint; the non-resident tail is evaluated on the
+    /// plain path, which returns the same bits.
+    fn rebuild_cache(
+        &self,
+        w: &MtrWeightSetting,
+        threads: usize,
+        cache: &mut MtrScenarioCache,
+        costs: &mut Vec<VecCost>,
+    ) {
+        let (ev, scenarios) = (self.ev, self.scenarios);
+        let mut ws = ev.acquire_workspace();
+        ev.cache_rebuild_begin(&mut ws, cache, w, scenarios.len());
+        costs.clear();
+        costs.resize(scenarios.len(), VecCost::zeros(ev.num_classes()));
+        let mut captured = 0usize;
+        if cache.budget_bytes() != usize::MAX && !scenarios.is_empty() {
+            let (base, entries) = cache.capture_split();
+            costs[0] = ev.cost_capture_into(&mut ws, w, scenarios[0], base, &mut entries[0]);
+            captured = 1;
         }
-    }
-
-    // Winner: best compound failure cost, lowest replica index on ties.
-    let mut win = 0usize;
-    for r in 1..chains.len() {
-        if chains[r].best_kfail.better_than(&chains[win].best_kfail) {
-            win = r;
-        }
-    }
-    let mut stats = MtrSearchStats::default();
-    let mut constraint_rejections = 0usize;
-    for c in &chains {
-        stats.merge(&c.stats);
-        constraint_rejections += c.constraint_rejections;
-    }
-    let mut replica_traces: Vec<Vec<MoveOutcome>> = Vec::new();
-    if params.record_trace {
-        replica_traces.extend(chains.iter_mut().map(|c| std::mem::take(&mut c.trace)));
-    }
-    let trace = replica_traces.get(win).cloned().unwrap_or_default();
-    let winner = chains.swap_remove(win);
-    Ok(MtrRobustOutput {
-        best: winner.best,
-        best_kfail: winner.best_kfail,
-        best_normal: winner.best_normal,
-        constraint_rejections,
-        trace,
-        replica_traces,
-        stats,
-        terminated,
-    })
-}
-
-/// One sweep of one chain — the classic robust loop body (speculative
-/// batched moves, per-class constraint gate, bounded failure sweeps,
-/// diversification and the stop rule). Sets `ch.done` when the chain's
-/// stop rule or the iteration backstop fires; a done chain is never
-/// swept again.
-fn chain_sweep(
-    ev: &MtrEvaluator<'_>,
-    scenarios: &[Scenario],
-    scenario_weights: Option<&[f64]>,
-    benchmark: &VecCost,
-    ch: &mut Chain,
-) {
-    if ch.done {
-        return;
-    }
-    if ch.stats.iterations >= ch.params.max_iterations {
-        ch.done = true;
-        return;
-    }
-    let params = ch.params;
-    let net = ev.net();
-    let k = ev.num_classes();
-    let specs = &ev.config().specs;
-    let Chain {
-        rng,
-        stats,
-        constraint_rejections,
-        trace,
-        never_cut,
-        kit,
-        current,
-        current_normal,
-        current_kfail,
-        best,
-        best_kfail,
-        best_normal,
-        stop,
-        reps,
-        stale_sweeps,
-        spec,
-        seed_prefix,
-        archive,
-        done,
-        ..
-    } = ch;
-
-    stats.iterations += 1;
-    reps.shuffle(rng);
-    let mut improved = false;
-    let mut wasted = 0usize;
-
-    // Eager failure-sweep prefix (parallel-search contract,
-    // `DETERMINISM.md`): the speculative fan-out pre-computes the
-    // first scenarios of the bounded sweep's priority order for
-    // each gate-passing candidate; the seeds substitute
-    // bit-identical values in `sum_failure_costs_bounded`, so a
-    // stale snapshot after an accept wastes at most the seed work.
-    seed_prefix.clear();
-    if params.threads > 1 && params.cutoff {
-        let l = params.threads.min(kit.order.len());
-        seed_prefix.extend_from_slice(&kit.order[..l]);
-    }
-    let seed_prefix: &[u32] = seed_prefix;
-
-    speculative_sweep(
-        reps,
-        rng,
-        params.speculation,
-        params.threads,
-        params.eager_min_batch,
-        current,
-        spec,
-        &mut wasted,
-        |rng| {
-            (0..k)
-                .map(|_| rng.gen_range(1..=params.wmax))
-                .collect::<Vec<u32>>()
-        },
-        |w: &MtrWeightSetting, rep| (0..k).map(|c| w.get(c, rep)).collect::<Vec<u32>>(),
-        |w: &mut MtrWeightSetting, rep, m: &Vec<u32>| {
-            for (c, &v) in m.iter().enumerate() {
-                w.set_duplex(net, c, rep, v);
+        cache.plan_residency(scenarios.len());
+        let cap_hi = cache.resident_scenarios().max(captured);
+        let full = cache.full_resident_scenarios();
+        let workers = threads.min(scenarios.len().max(1));
+        if workers <= 1 {
+            let (base, entries) = cache.capture_split();
+            for pos in captured..cap_hi {
+                costs[pos] =
+                    ev.cost_capture_into(&mut ws, w, scenarios[pos], base, &mut entries[pos]);
             }
-        },
-        |w| {
-            let normal = ev.cost(w, Scenario::Normal);
-            let mut seeds: Vec<(u32, VecCost)> = Vec::new();
-            if !seed_prefix.is_empty() && feasible(&normal, benchmark, specs) {
-                let mut ws = ev.acquire_workspace();
-                seeds.extend(
-                    seed_prefix
-                        .iter()
-                        .map(|&p| (p, ev.cost_with(&mut ws, w, scenarios[p as usize]))),
-                );
-                ev.release_workspace(ws);
+            // Partial-tier positions capture fully (the capture eval *is*
+            // the exact cost) and immediately demote to the planned
+            // routings + loads footprint.
+            for entry in &mut entries[full..cap_hi] {
+                entry.demote();
             }
-            (normal, seeds)
-        },
-        |cand_w, _rep, cost: &SpecCost| {
-            let (cand_normal, seeds) = cost;
-            // Cheap constraint gate: one normal-conditions
-            // evaluation (speculated ahead of the replay cursor).
-            stats.evaluations += 1;
-            if !feasible(cand_normal, benchmark, specs) {
-                *constraint_rejections += 1;
-                if params.record_trace {
-                    trace.push(MoveOutcome::ConstraintReject);
-                }
-                return Decision::Reject;
+            for (c, &s) in costs[cap_hi..].iter_mut().zip(&scenarios[cap_hi..]) {
+                *c = ev.cost_with(&mut ws, w, s);
             }
-
-            stats.evaluations += scenarios.len();
-            let outcome = if params.cutoff {
-                if let Some(cache) = kit.cache.as_mut() {
-                    ev.cache_begin(cache, cand_w);
-                }
-                parallel::sum_failure_costs_bounded(
-                    ev,
-                    cand_w,
-                    scenarios,
-                    scenario_weights,
-                    params.threads,
-                    current_kfail,
-                    &kit.order,
-                    seeds,
-                    kit.floors.as_deref(),
-                    kit.cache.as_ref(),
-                    &mut kit.scratch,
-                )
-            } else {
-                MtrSweep::Complete(parallel::sum_failure_costs(
-                    ev,
-                    cand_w,
-                    scenarios,
-                    scenario_weights,
-                    params.threads,
-                ))
-            };
-            if let Some(cache) = kit.cache.as_ref() {
-                // Attribute plain-path (non-resident) evaluations of
-                // this bounded sweep, counted over the deterministic
-                // evaluation-order prefix (thread-invariant).
-                let resident = cache.resident_scenarios();
-                stats.cache_fallback_evals += match &outcome {
-                    MtrSweep::Complete(_) => scenarios.len() - resident,
-                    MtrSweep::Cut { evaluated, .. } => kit.order[..*evaluated]
-                        .iter()
-                        .filter(|&&p| p as usize >= resident)
-                        .count(),
-                };
-            }
-            match outcome {
-                MtrSweep::Complete(cand_kfail) if cand_kfail.better_than(current_kfail) => {
-                    *current_kfail = cand_kfail.clone();
-                    if params.cutoff {
-                        if let Some(cache) = kit.cache.as_mut() {
-                            // Accept path: re-point the delta-state
-                            // cache at the new incumbent (exact
-                            // coverage, no full rebuild needed),
-                            // sharding the entry stage across the
-                            // configured workers.
-                            refresh_cache(ev, scenarios, cand_w, params.threads, cache);
-                        }
-                        refresh_order(
-                            &mut kit.order,
-                            &kit.scratch.costs,
-                            scenario_weights,
-                            kit.floors.as_deref(),
-                        );
-                    }
-                    current_normal.clone_from(cand_normal);
-                    improved = true;
-                    if cand_kfail.better_than(best_kfail) {
-                        best.clone_from(cand_w);
-                        *best_kfail = cand_kfail;
-                        best_normal.clone_from(current_normal);
-                    }
-                    if params.record_trace {
-                        trace.push(MoveOutcome::Accept);
-                    }
-                    Decision::Accept
-                }
-                MtrSweep::Complete(_) => {
-                    if params.record_trace {
-                        trace.push(MoveOutcome::Reject);
-                    }
-                    Decision::Reject
-                }
-                MtrSweep::Cut {
-                    evaluated,
-                    floor_cut,
-                } => {
-                    let skips = scenarios.len() - evaluated;
-                    stats.scenario_evals_skipped += skips;
-                    if floor_cut {
-                        stats.skipped_floor += skips;
-                    } else if params.cache {
-                        // kit.cache exists iff cutoff && cache.
-                        stats.skipped_cache += skips;
-                    } else {
-                        stats.skipped_cutoff += skips;
-                    }
-                    if params.record_trace {
-                        trace.push(MoveOutcome::Reject);
-                    }
-                    Decision::Reject
-                }
-            }
-        },
-    );
-    stats.speculative_wasted += wasted;
-
-    *stale_sweeps = if improved { 0 } else { *stale_sweeps + 1 };
-    if *stale_sweeps >= params.div_interval_2 {
-        stats.diversifications += 1;
-        *stale_sweeps = 0;
-        if stop.record(best_kfail.clone()) {
-            *done = true;
+            ev.release_workspace(ws);
             return;
         }
-        // Diversify back to an archived (feasible-by-construction or
-        // near-feasible) setting.
-        let (w, c) = archive.sample(rng).expect("non-empty archive");
-        current.clone_from(w);
-        current_normal.clone_from(c);
-        *current_kfail = full_sweep(
-            ev,
-            scenarios,
-            scenario_weights,
-            &params,
-            current,
-            never_cut,
-            stats,
-            kit,
-        );
-        if feasible(current_normal, benchmark, specs) && current_kfail.better_than(best_kfail) {
-            best.clone_from(current);
-            best_kfail.clone_from(current_kfail);
-            best_normal.clone_from(current_normal);
+        ev.release_workspace(ws);
+        {
+            let (base, entries) = cache.capture_split();
+            let scs = &scenarios[captured..cap_hi];
+            let ents = &mut entries[captured..cap_hi];
+            let csts = &mut costs[captured..cap_hi];
+            if !scs.is_empty() {
+                let chunk = scs.len().div_ceil(workers);
+                let parts: Vec<_> = scs
+                    .chunks(chunk)
+                    .zip(ents.chunks_mut(chunk))
+                    .zip(csts.chunks_mut(chunk))
+                    .collect();
+                dtr_core::parallel::scoped_fanout(parts, |((scs, ents), cst)| {
+                    let mut ws = ev.acquire_workspace();
+                    for ((&sc, entry), c) in scs.iter().zip(ents).zip(cst) {
+                        *c = ev.cost_capture_into(&mut ws, w, sc, base, entry);
+                    }
+                    ev.release_workspace(ws);
+                });
+            }
+            // See the serial branch: demote the partial-tier band.
+            for entry in &mut entries[full..cap_hi] {
+                entry.demote();
+            }
         }
+        let tail = &scenarios[cap_hi..];
+        if !tail.is_empty() {
+            let csts = &mut costs[cap_hi..];
+            let chunk = tail.len().div_ceil(workers);
+            let parts: Vec<_> = tail.chunks(chunk).zip(csts.chunks_mut(chunk)).collect();
+            dtr_core::parallel::scoped_fanout(parts, |(scs, cst)| {
+                let mut ws = ev.acquire_workspace();
+                for (&sc, c) in scs.iter().zip(cst) {
+                    *c = ev.cost_with(&mut ws, w, sc);
+                }
+                ev.release_workspace(ws);
+            });
+        }
+    }
+
+    /// Re-point the delta-state cache at the accepted incumbent `w`:
+    /// serial [`MtrEvaluator::cache_refresh_begin`], position-disjoint
+    /// entry chunks through [`MtrEvaluator::cache_refresh_entry`] on
+    /// pooled workspaces, then [`MtrEvaluator::cache_refresh_finish`].
+    /// Bit-identical to the serial [`MtrEvaluator::cache_refresh`] at
+    /// any thread count (the parallel-search contract in
+    /// `DETERMINISM.md`).
+    fn refresh_cache(&self, w: &MtrWeightSetting, threads: usize, cache: &mut MtrScenarioCache) {
+        let (ev, scenarios) = (self.ev, self.scenarios);
+        let resident = cache.resident_scenarios();
+        let workers = threads.min(resident.max(1));
+        let mut ws = ev.acquire_workspace();
+        ev.cache_refresh_begin(&mut ws, cache, w);
+        if workers <= 1 {
+            let (ctx, entries) = cache.refresh_split();
+            for (pos, entry) in entries.iter_mut().enumerate().take(resident) {
+                ev.cache_refresh_entry(&mut ws, w, &ctx, scenarios[pos], entry);
+            }
+            ev.release_workspace(ws);
+        } else {
+            ev.release_workspace(ws);
+            let (ctx, entries) = cache.refresh_split();
+            let chunk = resident.div_ceil(workers);
+            let parts: Vec<_> = scenarios[..resident]
+                .chunks(chunk)
+                .zip(entries[..resident].chunks_mut(chunk))
+                .collect();
+            dtr_core::parallel::scoped_fanout(parts, |(scs, ents)| {
+                let mut ws = ev.acquire_workspace();
+                for (&sc, entry) in scs.iter().zip(ents) {
+                    ev.cache_refresh_entry(&mut ws, w, &ctx, sc, entry);
+                }
+                ev.release_workspace(ws);
+            });
+        }
+        ev.cache_refresh_finish(cache, w);
+    }
+
+    fn bounded_sweep(
+        &self,
+        w: &MtrWeightSetting,
+        threads: usize,
+        incumbent: &VecCost,
+        order: &[u32],
+        seeds: &[(u32, VecCost)],
+        floors: &[VecCost],
+        cache: &mut MtrScenarioCache,
+        scratch: &mut SweepScratch<VecCost>,
+    ) -> Sweep<VecCost> {
+        self.ev.cache_begin(cache, w);
+        parallel::sum_failure_costs_bounded(
+            self.ev,
+            w,
+            self.scenarios,
+            self.weights,
+            threads,
+            incumbent,
+            order,
+            seeds,
+            Some(floors),
+            Some(cache),
+            scratch,
+        )
+    }
+
+    fn put_weights(&self, enc: &mut Encoder, w: &MtrWeightSetting) {
+        for k in 0..w.num_classes() {
+            enc.put_slice_u32(w.weights(k));
+        }
+    }
+
+    fn take_weights(
+        &self,
+        rd: &mut Decoder<'_>,
+        wmax: u32,
+    ) -> Result<MtrWeightSetting, SnapshotError> {
+        let num_links = self.ev.net().num_links();
+        let mut per_class = Vec::with_capacity(self.ev.num_classes());
+        for _ in 0..self.ev.num_classes() {
+            let v = rd.take_vec_u32()?;
+            if v.len() != num_links {
+                return Err(SnapshotError::Corrupt("weight vector length differs"));
+            }
+            if v.iter().any(|&w| w < 1 || w > wmax) {
+                return Err(SnapshotError::Corrupt("weight outside [1, wmax]"));
+            }
+            per_class.push(v);
+        }
+        Ok(MtrWeightSetting::from_vecs(per_class, wmax))
+    }
+
+    fn put_cost(&self, enc: &mut Encoder, c: &VecCost) {
+        enc.put_slice_f64(c.components());
+    }
+
+    fn take_cost(&self, rd: &mut Decoder<'_>) -> Result<VecCost, SnapshotError> {
+        let v = rd.take_vec_f64()?;
+        if v.len() != self.ev.num_classes() {
+            return Err(SnapshotError::Corrupt("cost vector length differs"));
+        }
+        Ok(VecCost::new(v))
+    }
+
+    /// The class count and the regular-phase benchmark; both are
+    /// checked against the resuming call's.
+    fn put_config_tail(&self, enc: &mut Encoder) {
+        enc.put_usize(self.ev.num_classes());
+        enc.put_slice_f64(self.benchmark.components());
+    }
+
+    fn take_config_tail(&mut self, rd: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+        let k = self.ev.num_classes();
+        if rd.take_usize()? != k {
+            return Err(SnapshotError::Mismatch("class count differs"));
+        }
+        let stored = rd.take_vec_f64()?;
+        if stored.len() != k
+            || stored
+                .iter()
+                .zip(self.benchmark.components())
+                .any(|(a, b)| a.to_bits() != b.to_bits())
+        {
+            return Err(SnapshotError::Mismatch("benchmark differs"));
+        }
+        Ok(())
+    }
+}
+
+/// Validate `params` and the scenario weights.
+fn checked(params: &MtrParams, scenarios: &[Scenario], scenario_weights: Option<&[f64]>) {
+    params.validate();
+    if let Some(sw) = scenario_weights {
+        assert_eq!(sw.len(), scenarios.len(), "one weight per scenario");
+        assert!(sw.iter().all(|&p| p >= 0.0 && p.is_finite()));
     }
 }
 
@@ -1263,7 +418,7 @@ fn chain_sweep(
 /// With `params.portfolio.replicas > 1` the run becomes a portfolio
 /// search: independent chains from distinct derived seeds exchanging
 /// archive elites at fixed rendezvous points, replica-index-ordered
-/// merges — the same machinery (and determinism contract) as
+/// merges — the same driver (and determinism contract) as
 /// `dtr_core::phase2::run`, on k-vector costs.
 ///
 /// # Panics
@@ -1308,33 +463,24 @@ pub fn run_controlled(
     scenario_weights: Option<&[f64]>,
     ctl: &mut RunControl<'_>,
 ) -> Result<MtrRobustOutput, SnapshotError> {
-    params.validate();
-    if let Some(sw) = scenario_weights {
-        assert_eq!(sw.len(), scenarios.len(), "one weight per scenario");
-        assert!(sw.iter().all(|&p| p >= 0.0 && p.is_finite()));
-    }
-    let chains = build_chains(ev, scenarios, scenario_weights, params, archive);
-    drive(
+    checked(params, scenarios, scenario_weights);
+    let engine = Mtr {
         ev,
         scenarios,
-        scenario_weights,
+        weights: scenario_weights,
         benchmark,
-        params,
-        chains,
-        0,
-        false,
-        ctl,
-    )
+    };
+    driver::run_controlled(&engine, robust_params(params), archive, ctl)
 }
 
 /// Restore a robust-phase run from `snapshot` bytes and continue it
 /// under `ctl`. The evaluator, scenario slice, benchmark and the
 /// trajectory-determining `params` knobs must match the saving run
 /// ([`SnapshotError::Mismatch`] otherwise); `threads`, `speculation`,
-/// `cutoff`, `cache`, `phi_floors` and the cache budget may differ
-/// freely — the determinism contract keeps the continued trajectory
-/// bit-identical regardless. No regular-phase archive is needed: it
-/// travels inside the snapshot.
+/// `cutoff`, `phi_floors` and the cache budget may differ freely — the
+/// determinism contract keeps the continued trajectory bit-identical
+/// regardless. No regular-phase archive is needed: it travels inside
+/// the snapshot.
 ///
 /// The wall-clock deadline, when set, is a fresh budget for this call —
 /// time spent before the crash is not counted against it.
@@ -1350,98 +496,14 @@ pub fn resume(
     snapshot: &[u8],
     ctl: &mut RunControl<'_>,
 ) -> Result<MtrRobustOutput, SnapshotError> {
-    params.validate();
-    if let Some(sw) = scenario_weights {
-        assert_eq!(sw.len(), scenarios.len(), "one weight per scenario");
-        assert!(sw.iter().all(|&p| p >= 0.0 && p.is_finite()));
-    }
-    let mut rd = dtr_persist::open(snapshot, dtr_persist::KIND_MTR_ROBUST)?;
-    let boundary = decode_config(
-        &mut rd,
-        params,
-        scenarios.len(),
-        ev.net().num_links(),
-        ev.num_classes(),
-        benchmark,
-    )?;
-    let replicas = params.portfolio.replicas;
-    let mut chains = Vec::with_capacity(replicas);
-    if replicas == 1 {
-        chains.push(decode_chain(
-            &mut rd,
-            ev,
-            scenarios,
-            scenario_weights,
-            *params,
-        )?);
-    } else {
-        let inner = MtrParams {
-            threads: (params.threads / replicas).max(1),
-            ..*params
-        };
-        for r in 0..replicas {
-            let p = MtrParams {
-                seed: replica_seed(params.seed, r),
-                ..inner
-            };
-            chains.push(decode_chain(&mut rd, ev, scenarios, scenario_weights, p)?);
-        }
-    }
-    rd.finish()?;
-    drive(
+    checked(params, scenarios, scenario_weights);
+    let engine = Mtr {
         ev,
         scenarios,
-        scenario_weights,
+        weights: scenario_weights,
         benchmark,
-        params,
-        chains,
-        boundary,
-        true,
-        ctl,
-    )
-}
-
-/// Build the chain vector [`drive`] runs: one classic chain, or
-/// `replicas` portfolio chains from distinct derived seeds, each with
-/// an equal share of the worker threads (initial full sweeps fan out
-/// across replicas exactly as before).
-fn build_chains(
-    ev: &MtrEvaluator<'_>,
-    scenarios: &[Scenario],
-    scenario_weights: Option<&[f64]>,
-    params: &MtrParams,
-    archive: &MtrArchive,
-) -> Vec<Chain> {
-    let replicas = params.portfolio.replicas;
-    if replicas == 1 {
-        return vec![Chain::new(
-            ev,
-            scenarios,
-            scenario_weights,
-            *params,
-            archive,
-        )];
-    }
-    let inner = MtrParams {
-        threads: (params.threads / replicas).max(1),
-        ..*params
     };
-    let mut slots: Vec<Option<Chain>> = Vec::new();
-    slots.resize_with(replicas, || None);
-    dtr_core::parallel::scoped_fanout(
-        slots.iter_mut().enumerate().collect(),
-        |(r, slot): (usize, &mut Option<Chain>)| {
-            let p = MtrParams {
-                seed: replica_seed(params.seed, r),
-                ..inner
-            };
-            *slot = Some(Chain::new(ev, scenarios, scenario_weights, p, archive));
-        },
-    );
-    slots
-        .into_iter()
-        .map(|s| s.expect("every replica slot is initialised"))
-        .collect()
+    driver::resume(engine, robust_params(params), snapshot, ctl)
 }
 
 #[cfg(test)]
@@ -1450,8 +512,9 @@ mod tests {
     use crate::class::{ClassSpec, MtrConfig, NormalConstraint};
     use crate::search::{self};
     use dtr_core::FailureUniverse;
-    use dtr_net::{Network, NetworkBuilder, Point};
+    use dtr_net::{NetworkBuilder, Point};
     use dtr_traffic::TrafficMatrix;
+    use rand::SeedableRng;
 
     fn testbed() -> (Network, Vec<TrafficMatrix>) {
         let mut b = NetworkBuilder::new();

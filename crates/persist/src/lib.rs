@@ -32,8 +32,13 @@ use std::path::{Path, PathBuf};
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DTRSNAP\0";
-/// Current (and only supported) snapshot format version.
-pub const VERSION: u32 = 1;
+/// Current (and only supported) snapshot format version. Version 2 is
+/// the layout of the shared robust-search driver (`dtr_core::driver`):
+/// both kinds carry the current normal-conditions cost and the full
+/// search stats, and the engine's config fingerprint follows the shared
+/// fields. Version-1 snapshots are refused with
+/// [`SnapshotError::UnsupportedVersion`], never misparsed.
+pub const VERSION: u32 = 2;
 /// Snapshot kind: DTR phase-2 robust search state.
 pub const KIND_DTR_PHASE2: u32 = 1;
 /// Snapshot kind: MTR robust search state.

@@ -4,11 +4,16 @@
 //! workspace must perform **zero** heap allocations.
 //!
 //! A counting wrapper around the system allocator measures this
-//! directly; the test binary has its own `#[global_allocator]`, so the
-//! count covers everything the evaluation touches.
+//! directly. The count is per thread: a test arms its own thread for the
+//! measured window only ([`count_allocations`]), so the allocations of
+//! tests running alongside under the parallel test harness never leak
+//! into it. Every kernel measured here runs on the measuring thread
+//! (serial paths, one worker); a measured kernel that fans out to
+//! worker threads would need a binary-wide lock instead, because its
+//! workers start unarmed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dtr::net::Network;
 use dtr::prelude::*;
@@ -20,11 +25,26 @@ use rand::SeedableRng;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is inside a measured window.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while armed.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator also runs while a thread tears down its
+    // locals.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -33,13 +53,23 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Run `f` on this thread and return its result together with the heap
+/// allocations (allocs + reallocs) it performed.
+fn count_allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
+    let out = f();
+    ARMED.with(|armed| armed.set(false));
+    (out, ALLOCATIONS.with(|n| n.get()))
+}
 
 /// Paper-scale testbed: 50 nodes, 300 directed links, gravity traffic.
 fn testbed() -> (Network, ClassMatrices) {
@@ -87,21 +117,20 @@ fn assert_steady_state_sweep_allocates_nothing(
         }
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for &sc in scenarios {
-        let c = ev.cost_with(&mut ws, &w, sc);
-        checksum += c.lambda + c.phi;
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), allocations) = count_allocations(|| {
+        for &sc in scenarios {
+            let c = ev.cost_with(&mut ws, &w, sc);
+            checksum += c.lambda + c.phi;
+        }
+    });
     ev.release_workspace(ws);
 
     assert!(checksum.is_finite());
     assert_eq!(
-        after - before,
+        allocations,
         0,
-        "steady-state {kind} sweep of {} scenarios performed {} heap allocations",
+        "steady-state {kind} sweep of {} scenarios performed {allocations} heap allocations",
         scenarios.len(),
-        after - before
     );
 }
 
@@ -155,7 +184,7 @@ fn steady_state_node_failure_sweep_allocates_nothing() {
 /// crates/analysis/hot_paths.toml).
 #[test]
 fn steady_state_floored_bounded_sweep_allocates_nothing() {
-    use dtr::core::parallel::{self, SetSweep, SweepScratch};
+    use dtr::core::parallel::{self, Sweep, SweepScratch};
     use dtr::core::scenario::ScenarioSet;
     use dtr::cost::ScenarioFloor;
 
@@ -179,7 +208,7 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
     }
     let run = |ws: &mut dtr::cost::EvalWorkspace,
                floors: &mut [ScenarioFloor],
-               scratch: &mut SweepScratch|
+               scratch: &mut SweepScratch<LexCost>|
      -> f64 {
         let mut checksum = 0.0f64;
         for (pos, &i) in indices.iter().enumerate() {
@@ -201,8 +230,8 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
             None,
             scratch,
         ) {
-            SetSweep::Complete(c) => checksum += c.lambda + c.phi,
-            SetSweep::Cut { .. } => unreachable!("nothing beats the never-cut incumbent"),
+            Sweep::Complete(c) => checksum += c.lambda + c.phi,
+            Sweep::Cut { .. } => unreachable!("nothing beats the never-cut incumbent"),
         }
         match parallel::sum_set_costs_bounded(
             &ev,
@@ -217,8 +246,8 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
             None,
             scratch,
         ) {
-            SetSweep::Complete(_) => panic!("a zero incumbent must cut"),
-            SetSweep::Cut { evaluated, .. } => checksum += evaluated as f64,
+            Sweep::Complete(_) => panic!("a zero incumbent must cut"),
+            Sweep::Cut { evaluated, .. } => checksum += evaluated as f64,
         }
         checksum
     };
@@ -230,18 +259,17 @@ fn steady_state_floored_bounded_sweep_allocates_nothing() {
         checksum += run(&mut ws, &mut floors, &mut scratch);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    checksum += run(&mut ws, &mut floors, &mut scratch);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let (sum, allocations) = count_allocations(|| run(&mut ws, &mut floors, &mut scratch));
+    checksum += sum;
     ev.release_workspace(ws);
 
     assert!(checksum.is_finite());
     assert_eq!(
-        after - before,
+        allocations,
         0,
-        "steady-state floored bounded sweep of {} scenarios performed {} heap allocations",
+        "steady-state floored bounded sweep of {} scenarios performed {allocations} heap \
+         allocations",
         indices.len(),
-        after - before
     );
 }
 
@@ -321,25 +349,25 @@ fn steady_state_sharded_cache_refresh_allocates_nothing() {
     }
 
     // Steady state: repeating the warmed cycle must not allocate.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for cand in &cands {
-        ev.cache_begin(&mut cache, cand);
-        refresh(&mut ws, &mut cache, cand);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), allocations) = count_allocations(|| {
+        for cand in &cands {
+            ev.cache_begin(&mut cache, cand);
+            refresh(&mut ws, &mut cache, cand);
+        }
+    });
     ev.release_workspace(ws);
 
     assert_eq!(
-        after - before,
+        allocations,
         0,
-        "steady-state sharded cache refresh of {} entries performed {} heap allocations",
+        "steady-state sharded cache refresh of {} entries performed {allocations} heap \
+         allocations",
         scenarios.len(),
-        after - before
     );
 }
 
-/// Checkpoint serialization: the search drivers encode a chain snapshot
-/// at every eligible sweep/rendezvous boundary into ONE reusable
+/// Checkpoint serialization: the robust-search driver encodes a chain
+/// snapshot at every eligible sweep/rendezvous boundary into ONE reusable
 /// [`dtr::persist::Encoder`] whose buffer `begin()` clears but never
 /// shrinks. After the first encode has grown that buffer to the
 /// snapshot's size, re-encoding the same-shaped state — the steady
@@ -353,8 +381,9 @@ fn steady_state_sharded_cache_refresh_allocates_nothing() {
 fn steady_state_checkpoint_encoding_allocates_nothing() {
     use dtr::persist::{Encoder, KIND_DTR_PHASE2};
 
-    // Chain-shaped payload at the paper-scale operating point: 300
-    // directed links, a 500-proposal trace, a 16-entry archive.
+    // Chain-shaped payload at the paper-scale operating point (the
+    // driver's layout): 300 directed links, a 500-proposal trace, a
+    // 16-entry archive.
     let weights: Vec<u32> = (0..300u32).map(|i| (i % 20) + 1).collect();
     let trace: Vec<u8> = (0..500u32).map(|i| (i % 3) as u8).collect();
     let history: Vec<f64> = (0..32).map(|i| 1.0 / (i as f64 + 1.0)).collect();
@@ -381,8 +410,8 @@ fn steady_state_checkpoint_encoding_allocates_nothing() {
         for _ in 0..4 {
             enc.put_slice_u32(&weights); // current/best + archive-ish settings
         }
-        for v in 0..6u64 {
-            enc.put_f64(v as f64); // lex costs
+        for v in 0..8u64 {
+            enc.put_f64(v as f64); // current normal/kfail, best kfail/normal
         }
         enc.put_slice_f64(&history); // stop-rule trailing window
         for _ in 0..16 {
@@ -398,16 +427,12 @@ fn steady_state_checkpoint_encoding_allocates_nothing() {
     // First encode grows the buffer to its high-water size.
     let n1 = encode(&mut enc);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let n2 = encode(&mut enc);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let (n2, allocations) = count_allocations(|| encode(&mut enc));
 
     assert_eq!(n1, n2, "same state must encode to the same size");
     assert_eq!(
-        after - before,
-        0,
-        "steady-state checkpoint encode of {n2} bytes performed {} heap allocations",
-        after - before
+        allocations, 0,
+        "steady-state checkpoint encode of {n2} bytes performed {allocations} heap allocations",
     );
 }
 
@@ -469,21 +494,21 @@ fn steady_state_delta_state_candidate_sweep_allocates_nothing() {
 
     // Steady state: a fresh candidate's full sweep must not allocate.
     let cand = candidate(&mut rng);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    ev.cache_begin(&mut cache, &cand);
-    for (pos, &sc) in scenarios.iter().enumerate() {
-        let c = ev.cost_cached(&mut ws, &cand, sc, &cache, pos);
-        checksum += c.lambda + c.phi;
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), allocations) = count_allocations(|| {
+        ev.cache_begin(&mut cache, &cand);
+        for (pos, &sc) in scenarios.iter().enumerate() {
+            let c = ev.cost_cached(&mut ws, &cand, sc, &cache, pos);
+            checksum += c.lambda + c.phi;
+        }
+    });
     ev.release_workspace(ws);
 
     assert!(checksum.is_finite());
     assert_eq!(
-        after - before,
+        allocations,
         0,
-        "steady-state delta-state candidate sweep of {} scenarios performed {} heap allocations",
+        "steady-state delta-state candidate sweep of {} scenarios performed {allocations} heap \
+         allocations",
         scenarios.len(),
-        after - before
     );
 }

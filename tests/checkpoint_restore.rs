@@ -141,6 +141,14 @@ fn corrupt_snapshots_report_typed_errors() {
         dtr.resume(&p, &bad),
         Err(SnapshotError::UnsupportedVersion { found: 99, .. })
     ));
+    // A snapshot of the previous format version (different chain and
+    // config layout) is refused the same way, never misparsed.
+    let mut old = snap.clone();
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(
+        dtr.resume(&p, &old),
+        Err(SnapshotError::UnsupportedVersion { found: 1, .. })
+    ));
 
     // Truncation — mid-payload and inside the bare header.
     assert!(matches!(

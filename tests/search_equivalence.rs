@@ -19,7 +19,7 @@
 //! just a divergence of the end state.
 
 use dtr::core::ext::probabilistic::FailureModel;
-use dtr::core::search::MoveOutcome;
+use dtr::core::search::{MoveOutcome, SearchStats};
 use dtr::core::{phase1, phase1b, phase2, PortfolioParams};
 use dtr::mtr::{
     robust as mtr_robust, search as mtr_search, ClassSpec, MtrConfig, MtrEvaluator, MtrParams,
@@ -322,8 +322,8 @@ fn phase2_portfolio_is_thread_invariant() {
 /// `cache_rebuild_evals`, and the residency/fallback gauges track that
 /// physical work. Everything else — including the logical
 /// `evaluations` — must match bit for bit ("The checkpoint contract",
-/// `DETERMINISM.md`).
-fn masked_dtr_stats(s: &dtr::core::search::SearchStats) -> dtr::core::search::SearchStats {
+/// `DETERMINISM.md`). Both engines share the one `SearchStats`.
+fn masked_stats(s: &SearchStats) -> SearchStats {
     let mut m = *s;
     m.cache_rebuild_evals = 0;
     m.cache_resident_scenarios = 0;
@@ -400,8 +400,8 @@ fn phase2_kill_restore_continue_is_bit_identical() {
             );
             assert_phase2_equal(&full, &resumed, &label);
             assert_eq!(
-                masked_dtr_stats(&full.stats),
-                masked_dtr_stats(&resumed.stats),
+                masked_stats(&full.stats),
+                masked_stats(&resumed.stats),
                 "{label}: full stats diverged beyond the rebuild gauges"
             );
             kill += 3;
@@ -516,8 +516,8 @@ fn phase2_portfolio_kill_restore_continue_is_bit_identical() {
         assert_phase2_equal(&full, &resumed, &label);
         assert_eq!(full.replica_traces, resumed.replica_traces, "{label}");
         assert_eq!(
-            masked_dtr_stats(&full.stats),
-            masked_dtr_stats(&resumed.stats),
+            masked_stats(&full.stats),
+            masked_stats(&resumed.stats),
             "{label}"
         );
     }
@@ -539,30 +539,17 @@ fn mtr_testbed() -> (Network, Vec<TrafficMatrix>) {
     (net, tms)
 }
 
-/// The MTR grid adds the delta-state cache flag:
-/// `(speculation, threads, cutoff, cache, phi_floors)`. The cache-off
-/// cutoff legs pin the uncached bounded sweep (whose skips land in
-/// `skipped_cutoff` instead of `skipped_cache`).
-const MTR_CONFIGS: [(usize, usize, bool, bool, bool); 8] = [
-    (1, 1, false, false, false),
-    (1, 1, true, false, false),
-    (1, 1, true, false, true),
-    (1, 1, true, true, true),
-    (8, 1, true, true, true),
-    (1, 4, true, false, true),
-    (1, 4, true, true, false),
-    (8, 4, true, true, true),
-];
-
+/// The MTR search walks the same `(speculation, threads, cutoff,
+/// phi_floors)` grid as DTR ([`CONFIGS`]): both engines run one driver,
+/// whose bounded sweeps always go through the delta-state cache.
 fn mtr_params_for(
     seed: u64,
-    (speculation, threads, cutoff, cache, phi_floors): (usize, usize, bool, bool, bool),
+    (speculation, threads, cutoff, phi_floors): (usize, usize, bool, bool),
 ) -> MtrParams {
     MtrParams {
         speculation,
         threads,
         cutoff,
-        cache,
         phi_floors,
         record_trace: true,
         ..MtrParams::quick(seed)
@@ -578,9 +565,9 @@ fn mtr_regular_trajectory_is_invariant() {
     ]);
     let ev = MtrEvaluator::new(&net, &tms, config).unwrap();
     let universe = FailureUniverse::of(&net);
-    let anchor = mtr_search::regular(&ev, &universe, &mtr_params_for(29, MTR_CONFIGS[0]));
+    let anchor = mtr_search::regular(&ev, &universe, &mtr_params_for(29, CONFIGS[0]));
     assert!(anchor.trace.contains(&MoveOutcome::Accept));
-    for cfg in &MTR_CONFIGS[1..] {
+    for cfg in &CONFIGS[1..] {
         let out = mtr_search::regular(&ev, &universe, &mtr_params_for(29, *cfg));
         let cfg = format!("{cfg:?}");
         assert_eq!(anchor.best, out.best, "{cfg}");
@@ -598,9 +585,9 @@ fn mtr_robust_trajectory_is_invariant() {
     let (net, tms) = mtr_testbed();
     let ev = MtrEvaluator::new(&net, &tms, MtrConfig::dtr(25e-3, 0.2)).unwrap();
     let universe = FailureUniverse::of(&net);
-    let reg = mtr_search::regular(&ev, &universe, &mtr_params_for(31, MTR_CONFIGS[0]));
+    let reg = mtr_search::regular(&ev, &universe, &mtr_params_for(31, CONFIGS[0]));
     let scenarios = universe.scenarios();
-    let run = |cfg: (usize, usize, bool, bool, bool)| {
+    let run = |cfg: (usize, usize, bool, bool)| {
         mtr_robust::run(
             &ev,
             &scenarios,
@@ -610,10 +597,10 @@ fn mtr_robust_trajectory_is_invariant() {
             None,
         )
     };
-    let anchor = run(MTR_CONFIGS[0]);
+    let anchor = run(CONFIGS[0]);
     assert_eq!(anchor.stats.scenario_evals_skipped, 0);
     let mut saw_skip = false;
-    for cfg in &MTR_CONFIGS[1..] {
+    for cfg in &CONFIGS[1..] {
         let out = run(*cfg);
         let cfg = format!("{cfg:?}");
         assert_eq!(anchor.best, out.best, "{cfg}");
@@ -638,7 +625,7 @@ fn mtr_robust_trajectory_is_invariant() {
     );
 }
 
-/// The MTR mirror of [`phase2_portfolio_is_thread_invariant`]: the
+/// The MTR run of [`phase2_portfolio_is_thread_invariant`]: the
 /// robust portfolio run is bit-for-bit reproducible at any thread count
 /// and speculation window, with the sharded refresh on (`threads = 4`)
 /// or off (`threads = 1`).
@@ -647,7 +634,7 @@ fn mtr_robust_portfolio_is_thread_invariant() {
     let (net, tms) = mtr_testbed();
     let ev = MtrEvaluator::new(&net, &tms, MtrConfig::dtr(25e-3, 0.2)).unwrap();
     let universe = FailureUniverse::of(&net);
-    let reg = mtr_search::regular(&ev, &universe, &mtr_params_for(41, MTR_CONFIGS[0]));
+    let reg = mtr_search::regular(&ev, &universe, &mtr_params_for(41, CONFIGS[0]));
     let scenarios = universe.scenarios();
     let run = |replicas: usize, threads: usize, speculation: usize| {
         let params = MtrParams {
@@ -655,7 +642,7 @@ fn mtr_robust_portfolio_is_thread_invariant() {
                 replicas,
                 rendezvous_period: 4,
             },
-            ..mtr_params_for(41, (speculation, threads, true, true, true))
+            ..mtr_params_for(41, (speculation, threads, true, true))
         };
         mtr_robust::run(&ev, &scenarios, &params, &reg.best_cost, &reg.archive, None)
     };
@@ -677,7 +664,7 @@ fn mtr_robust_portfolio_is_thread_invariant() {
     let classic = mtr_robust::run(
         &ev,
         &scenarios,
-        &mtr_params_for(41, (1, 1, true, true, true)),
+        &mtr_params_for(41, (1, 1, true, true)),
         &reg.best_cost,
         &reg.archive,
         None,
@@ -701,33 +688,18 @@ fn mtr_robust_portfolio_is_thread_invariant() {
     }
 }
 
-/// MTR mirror of the restore-gauge mask: the only counters a restore
-/// may disturb are the physical cache residency/fallback gauges touched
-/// while the scratch state is rebuilt from the snapshot's incumbent.
-fn masked_mtr_stats(s: &mtr_search::MtrSearchStats) -> mtr_search::MtrSearchStats {
-    let mut m = *s;
-    m.cache_resident_scenarios = 0;
-    m.cache_fallback_evals = 0;
-    m
-}
-
-/// Kill/restore/continue bit-identity for the MTR robust search, over
-/// the cache on/off × cutoff grid (the cache-off restore leg exercises
-/// the bounded-kernel scratch refill) and for a 3-replica portfolio
-/// killed at a rendezvous boundary.
+/// Kill/restore/continue bit-identity for the MTR robust search, with
+/// the cutoff off and on (the cutoff-on restore rebuilds the delta-state
+/// cache from the snapshot's incumbent).
 #[test]
 fn mtr_robust_kill_restore_continue_is_bit_identical() {
     let (net, tms) = mtr_testbed();
     let ev = MtrEvaluator::new(&net, &tms, MtrConfig::dtr(25e-3, 0.2)).unwrap();
     let universe = FailureUniverse::of(&net);
-    let reg = mtr_search::regular(&ev, &universe, &mtr_params_for(37, MTR_CONFIGS[0]));
+    let reg = mtr_search::regular(&ev, &universe, &mtr_params_for(37, CONFIGS[0]));
     let scenarios = universe.scenarios();
 
-    for cfg in [
-        (1, 1, false, false, false),
-        (1, 1, true, false, true),
-        (8, 4, true, true, true),
-    ] {
+    for cfg in [(1, 1, false, false), (1, 1, true, true), (8, 4, true, true)] {
         let params = MtrParams {
             checkpoint_every: 1,
             ..mtr_params_for(37, cfg)
@@ -784,8 +756,8 @@ fn mtr_robust_kill_restore_continue_is_bit_identical() {
             );
             assert_eq!(full.trace, resumed.trace, "{label}: accept/reject diverged");
             assert_eq!(
-                masked_mtr_stats(&full.stats),
-                masked_mtr_stats(&resumed.stats),
+                masked_stats(&full.stats),
+                masked_stats(&resumed.stats),
                 "{label}: stats diverged beyond the cache gauges"
             );
         }
@@ -797,7 +769,7 @@ fn mtr_portfolio_kill_restore_continue_is_bit_identical() {
     let (net, tms) = mtr_testbed();
     let ev = MtrEvaluator::new(&net, &tms, MtrConfig::dtr(25e-3, 0.2)).unwrap();
     let universe = FailureUniverse::of(&net);
-    let reg = mtr_search::regular(&ev, &universe, &mtr_params_for(43, MTR_CONFIGS[0]));
+    let reg = mtr_search::regular(&ev, &universe, &mtr_params_for(43, CONFIGS[0]));
     let scenarios = universe.scenarios();
     let params = MtrParams {
         portfolio: PortfolioParams {
@@ -805,7 +777,7 @@ fn mtr_portfolio_kill_restore_continue_is_bit_identical() {
             rendezvous_period: 4,
         },
         checkpoint_every: 1,
-        ..mtr_params_for(43, (8, 4, true, true, true))
+        ..mtr_params_for(43, (8, 4, true, true))
     };
     let full = mtr_robust::run(&ev, &scenarios, &params, &reg.best_cost, &reg.archive, None);
     assert_eq!(full.replica_traces.len(), 3);
@@ -845,9 +817,73 @@ fn mtr_portfolio_kill_restore_continue_is_bit_identical() {
         assert_eq!(full.trace, resumed.trace, "{label}");
         assert_eq!(full.replica_traces, resumed.replica_traces, "{label}");
         assert_eq!(
-            masked_mtr_stats(&full.stats),
-            masked_mtr_stats(&resumed.stats),
+            masked_stats(&full.stats),
+            masked_stats(&resumed.stats),
             "{label}"
+        );
+    }
+}
+
+/// The MTR run of [`phase2_resumed_checkpoints_are_byte_identical`]:
+/// with the cutoff off, every snapshot a resumed run writes is
+/// byte-identical to the uninterrupted run's at the same boundary.
+#[test]
+fn mtr_resumed_checkpoints_are_byte_identical() {
+    let (net, tms) = mtr_testbed();
+    let ev = MtrEvaluator::new(&net, &tms, MtrConfig::dtr(25e-3, 0.2)).unwrap();
+    let universe = FailureUniverse::of(&net);
+    let reg = mtr_search::regular(&ev, &universe, &mtr_params_for(47, CONFIGS[0]));
+    let scenarios = universe.scenarios();
+    let params = MtrParams {
+        checkpoint_every: 1,
+        ..mtr_params_for(47, (1, 1, false, false))
+    };
+    let run = |ctl: &mut RunControl<'_>| {
+        mtr_robust::run_controlled(
+            &ev,
+            &scenarios,
+            &params,
+            &reg.best_cost,
+            &reg.archive,
+            None,
+            ctl,
+        )
+        .unwrap()
+    };
+
+    let mut full_sink = MemorySink::new();
+    let full = run(&mut RunControl::with_sink(&mut full_sink));
+    assert!(full_sink.snapshots.len() >= 4, "run too short to straddle");
+
+    let kill = (full_sink.snapshots.len() / 2) as u64;
+    let mut sink = MemorySink::new();
+    run(&mut RunControl {
+        sink: Some(&mut sink),
+        kill_after: Some(kill),
+    });
+    let snap = sink.latest().unwrap().to_vec();
+    let mut resume_sink = MemorySink::new();
+    let resumed = mtr_robust::resume(
+        &ev,
+        &scenarios,
+        &params,
+        &reg.best_cost,
+        None,
+        &snap,
+        &mut RunControl::with_sink(&mut resume_sink),
+    )
+    .unwrap();
+    assert_eq!(full.best, resumed.best, "resumed");
+    assert_eq!(full.trace, resumed.trace, "resumed");
+
+    let tail = &full_sink.snapshots[kill as usize..];
+    assert_eq!(resume_sink.snapshots.len(), tail.len());
+    for (i, (a, b)) in tail.iter().zip(&resume_sink.snapshots).enumerate() {
+        assert_eq!(
+            a,
+            b,
+            "snapshot at boundary {} differs",
+            kill as usize + i + 1
         );
     }
 }
