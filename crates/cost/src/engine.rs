@@ -31,14 +31,23 @@
 //!    changes (a Phase-1/Phase-2 neighbor move re-draws one duplex
 //!    link's weights), the baseline is diffed against the new weights
 //!    and only destinations whose distance field is provably affected
-//!    ([`weight_change_affects`]) are re-routed.
+//!    ([`weight_change_affects`]) are touched. Those are **repaired in
+//!    place** from their routing under the old weights
+//!    ([`route_destination_reweight`]: an orphan worklist seeded from
+//!    the grown DAG links, then a label-correcting Dijkstra seeded from
+//!    the orphans' boundary and the dropped links) — integer distances
+//!    make the repair bit-equal to a from-scratch route, and the order
+//!    comes out as the same permutation by a linear merge. The cache's
+//!    accept-path baseline update ([`Evaluator::cache_refresh_begin`])
+//!    runs the same repair. A from-scratch [`route_destination`] runs
+//!    only where no baseline exists yet.
 //! 5. **Delta-state scenario cache across moves × scenarios**
 //!    ([`ScenarioCache`]): the robust phase's sweep evaluates the *same
 //!    scenarios* for a stream of candidates that differ from the
 //!    incumbent by one duplex link. The cache keeps **persistent
 //!    per-scenario state** of the incumbent — see the next section — so
 //!    a candidate's per-scenario cost ([`Evaluator::cost_cached`])
-//!    re-routes only the mask ∩ move-affected destinations, refolds only
+//!    repairs only the mask ∩ move-affected destinations, refolds only
 //!    the links whose contributor set changed, and re-runs the SLA delay
 //!    DP only for destinations whose routing or on-DAG link delays
 //!    changed. The accept path re-points the cache at the new incumbent
@@ -59,10 +68,14 @@
 //!    [`Evaluator::cost_with`]/`cost_scenario` path — capture sweeps,
 //!    reference anchors, every uncached failure sweep — seeds
 //!    [`route_destination_repair`] from the workspace's resident
-//!    no-failure baseline (orphan detection + boundary Dijkstra),
-//!    instead of a from-scratch Dijkstra per mask-affected destination.
-//!    Integer distances make the repair bit-equal to the full route, so
-//!    this is purely a constant-factor win on the route bound.
+//!    no-failure baseline (an orphan worklist seeded from the down links
+//!    on the baseline DAG, then a boundary Dijkstra), instead of a
+//!    from-scratch Dijkstra per mask-affected destination. With item 4
+//!    this makes every re-route in the engine a repair. Integer
+//!    distances make the repair bit-equal to the full route, so this is
+//!    purely a constant-factor win on the route bound (the
+//!    `dtr_routing::workspace` module docs give the exactness and
+//!    order-permutation arguments).
 //!
 //! The "same bits" guarantee is a workspace-wide contract — parallel ==
 //! serial, cached == uncached, repair == full-route, and cross-process
@@ -173,8 +186,9 @@
 //! cache, its refreshes, and full rebuilds). It holds because a replayed
 //! destination re-issues the exact floating-point additions, in the
 //! exact order, that a fresh computation would perform; a re-routed
-//! destination runs the exact same [`route_destination`] kernel the
-//! reference path is built on; and the delta-state folds preserve the
+//! destination runs [`route_destination`] — the kernel the reference
+//! path is built on — or one of its repairs, which produce its record
+//! bit for bit; and the delta-state folds preserve the
 //! reference accumulation order per link and per pair (see above).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -193,8 +207,8 @@ pub fn next_engine_id() -> u64 {
 
 use dtr_net::{LinkId, LinkMask};
 use dtr_routing::workspace::{
-    dag_uses_any, route_destination, route_destination_repair, weight_change_affects, DestRouting,
-    WeightChange,
+    dag_uses_any, route_destination, route_destination_repair, route_destination_reweight,
+    weight_change_affects, DestRouting, WeightChange,
 };
 use dtr_routing::{delay, Class, Scenario, SpfWorkspace, WeightSetting};
 use dtr_traffic::TrafficMatrix;
@@ -1182,8 +1196,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Make `ws`'s per-class baselines describe the no-failure routing of
-    /// `w`, re-routing only destinations whose distance field the weight
-    /// diff can actually touch.
+    /// `w`, repairing in place only destinations whose distance field the
+    /// weight diff can actually touch (from-scratch routing only when no
+    /// baseline exists yet).
     fn ensure_baseline(&self, ws: &mut EvalWorkspace, w: &WeightSetting) {
         ws.bind(self.engine_id, self.net.num_links());
         ws.mask.reset_all_up();
@@ -1218,9 +1233,11 @@ impl<'a> Evaluator<'a> {
                 }
                 for (di, &t) in dests.iter().enumerate() {
                     if weight_change_affects(self.net, &b.state[di].dist, diff) {
-                        route_destination(
+                        route_destination_reweight(
                             self.net,
+                            &b.weights,
                             weights,
+                            diff,
                             tm,
                             mask,
                             t as usize,
@@ -1793,7 +1810,7 @@ impl<'a> Evaluator<'a> {
     /// accept-path maintenance of the hill climbers. Baseline and
     /// per-scenario routings whose `cache.weights → w` diff provably
     /// cannot change (see [`weight_change_affects`]) are kept as-is; the
-    /// rest are re-routed under `w`, and the resident folded state
+    /// rest are repaired under `w`, and the resident folded state
     /// (loads, contributor lists, link delays, pair segments) is updated
     /// to describe `w` exactly. Unlike the pre-delta cache, coverage is
     /// maintained **exactly**: destinations entering or leaving a
@@ -1863,11 +1880,12 @@ impl<'a> Evaluator<'a> {
             );
         }
 
-        // Baseline update: re-route the destinations the diff can
-        // touch, remembering which *really* moved (their routings may
-        // enter or leave any scenario's affected set). The conservative
+        // Baseline update: repair the destinations the diff can touch
+        // (on a copy, so the old record survives the comparison),
+        // remembering which *really* moved (their routings may enter or
+        // leave any scenario's affected set). The conservative
         // predicate's false positives are filtered with the exact
-        // [`baseline_unchanged`] diff so bit-identical re-routes don't
+        // [`baseline_unchanged`] diff so bit-identical repairs don't
         // churn entries or re-run delay DPs downstream.
         let mut tmp = std::mem::take(&mut ws.refresh_tmp);
         for (ci, class) in Class::ALL.iter().enumerate() {
@@ -1887,9 +1905,12 @@ impl<'a> Evaluator<'a> {
                 {
                     continue;
                 }
-                route_destination(
+                tmp.clone_from(&base[ci][di]);
+                route_destination_reweight(
                     self.net,
+                    &weights[ci],
                     class_weights,
+                    &diff[ci],
                     tm,
                     &ws.up_mask,
                     t as usize,

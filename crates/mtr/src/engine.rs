@@ -11,8 +11,9 @@
 //!   evaluation re-routes, per class, only the destinations whose
 //!   baseline DAG uses a link of the scenario's down-set
 //!   ([`dag_uses_any`]); everything else replays its recorded float adds
-//!   bit-for-bit. A weight move re-routes only destinations
-//!   [`weight_change_affects`] flags. Before this module the MTR
+//!   bit-for-bit. A weight move repairs, in place, only the destinations
+//!   [`weight_change_affects`] flags ([`route_destination_reweight`]:
+//!   bit-identical to a from-scratch route). Before this module the MTR
 //!   evaluator routed every class from scratch per evaluation.
 //! * **Delta-state scenario cache** ([`MtrScenarioCache`], with
 //!   [`MtrEvaluator::cache_begin`] / [`MtrEvaluator::cost_cached`] /
@@ -21,7 +22,7 @@
 //!   incumbent's folded state — per-class resident load vectors,
 //!   per-link contributor lists ([`LinkContrib`]), resident link delays
 //!   and per-class SLA pair segments — so a candidate pays only for its
-//!   one-duplex-link diff: the mask ∩ move destinations are re-routed,
+//!   one-duplex-link diff: the mask ∩ move destinations are repaired,
 //!   only links whose contributor set changed are refolded
 //!   (destination-index-ordered fold = the reference accumulation, bit
 //!   for bit), and the per-class delay DP re-runs only where the routing
@@ -44,7 +45,9 @@
 //!   [`route_destination_repair`] (bit-identical to from-scratch
 //!   Dijkstra — integer distances), so capture sweeps and uncached
 //!   `cost_with` calls get the same route-bound speedup as the cached
-//!   path.
+//!   path. The accept path's baseline update
+//!   ([`MtrEvaluator::cache_refresh_begin`]) repairs moved destinations
+//!   with [`route_destination_reweight`] too.
 //!
 //! Bit-for-bit equivalence with [`MtrEvaluator::evaluate`] is pinned by
 //! the unit tests here, `tests/mtr_scenarios.rs`, and the randomized
@@ -56,8 +59,8 @@ use dtr_cost::engine::{baseline_unchanged, next_engine_id, refold_link, LinkCont
 use dtr_cost::{congestion, delay_model, sla};
 use dtr_net::{LinkId, LinkMask};
 use dtr_routing::workspace::{
-    dag_uses_any, route_destination, route_destination_repair, weight_change_affects, DestRouting,
-    WeightChange,
+    dag_uses_any, route_destination, route_destination_repair, route_destination_reweight,
+    weight_change_affects, DestRouting, WeightChange,
 };
 use dtr_routing::{delay, Scenario, SpfWorkspace};
 
@@ -498,7 +501,8 @@ impl<'a> MtrEvaluator<'a> {
     }
 
     /// Make `ws`'s per-class baselines describe the no-failure routing
-    /// of `w`, re-routing only destinations the weight diff can touch.
+    /// of `w`, repairing in place only destinations the weight diff can
+    /// touch (from-scratch routing only when no baseline exists yet).
     fn ensure_baseline(&self, ws: &mut MtrWorkspace, w: &MtrWeightSetting) {
         ws.bind(self.engine_id, self.net.num_links(), self.num_classes());
         ws.mask.reset_all_up();
@@ -532,9 +536,11 @@ impl<'a> MtrEvaluator<'a> {
                 }
                 for (di, &t) in dests.iter().enumerate() {
                     if weight_change_affects(self.net, &b.state[di].dist, diff) {
-                        route_destination(
+                        route_destination_reweight(
                             self.net,
+                            &b.weights,
                             weights,
+                            diff,
                             tm,
                             mask,
                             t as usize,
@@ -1422,7 +1428,7 @@ impl<'a> MtrEvaluator<'a> {
         }
 
         // Baseline update, filtering the predicate's false positives
-        // with the exact diff so bit-identical re-routes don't churn
+        // with the exact diff so bit-identical repairs don't churn
         // entries or re-run delay DPs downstream. The exact flags land
         // on the cache, shared read-only by the entry stage's workers.
         refresh_changed.resize_with(kn, Default::default);
@@ -1440,9 +1446,12 @@ impl<'a> MtrEvaluator<'a> {
                 {
                     continue;
                 }
-                route_destination(
+                tmp.clone_from(&base[k][di]);
+                route_destination_reweight(
                     self.net,
+                    &weights[k],
                     class_weights,
+                    &diff[k],
                     tm,
                     &ws.up_mask,
                     t as usize,

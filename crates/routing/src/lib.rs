@@ -35,7 +35,11 @@
 //! destination's routing unchanged — via [`workspace::dag_uses_any`]
 //! (failure scenarios) or [`workspace::weight_change_affects`] (local
 //! search moves) — replays the recording instead of re-running Dijkstra,
-//! with bit-for-bit identical results. The cost-level engine in
+//! with bit-for-bit identical results. A destination that is affected
+//! is repaired from its previous routing
+//! ([`workspace::route_destination_repair`] for failures,
+//! [`workspace::route_destination_reweight`] for weight moves), again
+//! bit for bit. The cost-level engine in
 //! `dtr-cost` drives these primitives; every layer of fast path is
 //! optional and falls back to the plain kernels.
 //!

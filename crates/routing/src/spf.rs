@@ -47,6 +47,45 @@ pub fn dist_to_into(
     dist: &mut Vec<u64>,
     heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
 ) {
+    dijkstra_into(net, dest, weights, mask, dist, heap, |_| {});
+}
+
+/// [`dist_to_into`] that also fills `order` with the reachable nodes in
+/// descending distance order, ties by ascending id — exactly
+/// [`descending_order_into`]'s permutation, derived in linear time from
+/// Dijkstra's settle sequence instead of by an O(n log n) sort.
+///
+/// The settle sequence is ascending `(dist, id)`: pops are
+/// non-decreasing in distance; every entry of distance `d` is already
+/// queued when the first `d` pops (a relaxation from `d` pushes at least
+/// `d + 1`), so equal distances pop by ascending id; and a label is only
+/// pushed when it strictly improves, so no `(d, v)` pair is queued
+/// twice. [`settled_to_descending`] turns it into the descending order.
+pub(crate) fn dist_order_into(
+    net: &Network,
+    dest: NodeId,
+    weights: &[u32],
+    mask: &LinkMask,
+    dist: &mut Vec<u64>,
+    order: &mut Vec<u32>,
+    heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
+) {
+    order.clear();
+    dijkstra_into(net, dest, weights, mask, dist, heap, |v| order.push(v));
+    settled_to_descending(dist, order);
+}
+
+/// The Dijkstra behind [`dist_to_into`] and [`dist_order_into`]: calls
+/// `on_settle` once per reachable node, in settle order.
+fn dijkstra_into(
+    net: &Network,
+    dest: NodeId,
+    weights: &[u32],
+    mask: &LinkMask,
+    dist: &mut Vec<u64>,
+    heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
+    mut on_settle: impl FnMut(u32),
+) {
     debug_assert_eq!(weights.len(), net.num_links(), "one weight per link");
     debug_assert!(
         weights.iter().all(|&w| w >= 1),
@@ -59,10 +98,11 @@ pub fn dist_to_into(
     dist[dest.index()] = 0;
     heap.push(Reverse((0, dest.index() as u32)));
     while let Some(Reverse((d, v))) = heap.pop() {
-        let v = v as usize;
-        if d > dist[v] {
+        if d > dist[v as usize] {
             continue;
         }
+        on_settle(v);
+        let v = v as usize;
         // Traverse incoming links of v: they extend paths *to* dest.
         for &l in net.in_links(NodeId::new(v)) {
             if mask.is_down(l.index()) {
@@ -207,6 +247,25 @@ pub fn descending_order_into(dist: &[u64], order: &mut Vec<u32>) {
     order.clear();
     order.extend((0..dist.len() as u32).filter(|&v| dist[v as usize] != UNREACHABLE));
     order.sort_unstable_by_key(|&v| (Reverse(dist[v as usize]), v));
+}
+
+/// Turn a node sequence sorted by ascending `(dist, id)` — a Dijkstra
+/// settle sequence — into [`descending_order_into`]'s permutation
+/// (descending distance, ascending id within a tie) in place: reverse
+/// the whole sequence, which makes it descending `(dist, id)`, then
+/// reverse each run of equal distance back to ascending id.
+pub(crate) fn settled_to_descending(dist: &[u64], order: &mut [u32]) {
+    order.reverse();
+    let mut start = 0;
+    while start < order.len() {
+        let d = dist[order[start] as usize];
+        let mut end = start + 1;
+        while end < order.len() && dist[order[end] as usize] == d {
+            end += 1;
+        }
+        order[start..end].reverse();
+        start = end;
+    }
 }
 
 /// Bellman–Ford reference implementation (O(V·E)); exists purely as a

@@ -37,6 +37,61 @@
 //!   the path it would shortcut (`dist[v] + w_new > dist[u]`): the old
 //!   distance field remains a feasible potential, and every old shortest
 //!   path is made of unchanged links.
+//!
+//! # Repair instead of re-route
+//!
+//! A destination that *is* affected is not routed from scratch when a
+//! previous routing exists: [`route_destination_repair`] repairs the
+//! all-links-up baseline under a failure mask, and
+//! [`route_destination_reweight`] repairs the routing under the old
+//! weights after a weight move. A failed link is a link whose weight
+//! grew to infinity, so both share one machinery — the weight-change
+//! repair's exactness argument covers both:
+//!
+//! 1. **Orphans.** A link *keeps* its old length when it is up and its
+//!    weight did not grow. Walking nodes in ascending old distance, a
+//!    node is an orphan iff none of its old-tight keeping out-links
+//!    leads to a non-orphan. By induction on the old distance, every
+//!    non-orphan keeps a path of new length ≤ its old distance, so its
+//!    old label is an upper bound on its new distance. A worklist finds
+//!    the orphans without scanning every node: seeded from the tails of
+//!    the old-DAG links that do not keep their length, it enqueues a
+//!    new orphan's predecessors over old-tight keeping in-links, and a
+//!    node never enqueued keeps every old-DAG out-link with a
+//!    non-orphan head.
+//! 2. **Label-correcting Dijkstra.** Orphans reset to [`UNREACHABLE`]
+//!    and restart at their best non-orphan neighbour; the tail of every
+//!    dropped link restarts at its shortcut when that beats its label;
+//!    then a Dijkstra relaxes in-links, lowering any label it beats,
+//!    orphan or not. Every label is the length of a real path, so it
+//!    never undercuts the new distance. On exit every edge constraint
+//!    `dist[u] ≤ dist[v] + w(u, v)` holds: a node whose label changed
+//!    was settled with its final label and relaxed its in-links; for an
+//!    unchanged non-orphan head, the old constraint covers links that
+//!    did not drop, the dropped-link seeds cover the rest, and orphan
+//!    tails took their boundary minimum over it. Labels that are
+//!    achievable and satisfy every constraint are the shortest
+//!    distances, and distances are integers — so the field **equals** a
+//!    fresh Dijkstra's bit for bit.
+//!
+//! **The order permutation.** Every kernel's `order` is exactly
+//! [`spf::descending_order_into`]'s: descending distance, ascending id
+//! within a tie. A Dijkstra settles nodes in ascending `(dist, id)`
+//! order (pops never decrease; all entries of one distance are queued
+//! before the first of them pops, since a relaxation adds at least 1;
+//! labels are pushed only on strict improvement, so no entry repeats).
+//! [`route_destination`] reverses its settle sequence and then each
+//! equal-distance run (`spf::settled_to_descending`) — linear time
+//! instead of a sort. The repairs' Dijkstra settles exactly the nodes
+//! whose label changed, also in ascending `(dist, id)`; every other
+//! node keeps its label, so the old order without orphans and settled
+//! nodes is still sorted, and one merge of the two sorted lists gives
+//! the permutation.
+//!
+//! Distances and order equal a fresh route's, and the ECMP push is one
+//! shared function of (distances, order, weights, mask, traffic), so a
+//! repaired record — load adds and drops included — is bit-for-bit the
+//! record [`route_destination`] writes.
 
 use dtr_net::{LinkId, LinkMask, Network, NodeId};
 use dtr_traffic::TrafficMatrix;
@@ -52,7 +107,8 @@ use crate::UNREACHABLE;
 /// no per-evaluation heap allocation in the steady state.
 #[derive(Debug, Default)]
 pub struct SpfWorkspace {
-    /// Dijkstra priority queue scratch.
+    /// Dijkstra priority queue scratch (also the repairs' orphan
+    /// worklist).
     pub(crate) heap: BinaryHeap<Reverse<(u64, u32)>>,
     /// Per-node inflow accumulator for the current destination.
     pub(crate) inflow: Vec<f64>,
@@ -60,10 +116,10 @@ pub struct SpfWorkspace {
     pub node_metric: Vec<f64>,
     /// Spare [`DestRouting`] used by [`crate::router::route_class_with`].
     pub(crate) dest: DestRouting,
-    /// Epoch-stamped orphan flags of [`route_destination_repair`].
-    orphan: Vec<u32>,
-    /// Current orphan-flag epoch (0 = flags unset).
-    orphan_epoch: u32,
+    /// Per-node flags and lists of the repair kernels.
+    repair: Repair,
+    /// The previous order of an in-place [`route_destination_reweight`].
+    old_order: Vec<u32>,
 }
 
 impl SpfWorkspace {
@@ -73,6 +129,26 @@ impl SpfWorkspace {
     }
 }
 
+/// Scratch of the two repair kernels ([`route_destination_repair`],
+/// [`route_destination_reweight`]): epoch-stamped per-node flags, so a
+/// repair never pays an O(n) reset, plus the orphan list and the repair
+/// Dijkstra's settle sequence.
+#[derive(Debug, Default)]
+struct Repair {
+    /// Stamped when a node is queued on the orphan worklist.
+    queued: Vec<u32>,
+    /// Stamped when a node is an orphan.
+    orphan: Vec<u32>,
+    /// Stamped when the repair Dijkstra settles a node.
+    settled: Vec<u32>,
+    /// Current flag epoch (0 = flags unset).
+    epoch: u32,
+    /// Orphans, in discovery order.
+    orphans: Vec<u32>,
+    /// Settle sequence of the repair Dijkstra: ascending `(dist, id)`.
+    resettled: Vec<u32>,
+}
+
 /// The complete routing outcome of one destination under one (weights,
 /// mask) pair: the distance field, the topological order, and the exact
 /// floating-point accumulation sequence of the ECMP load push.
@@ -80,8 +156,9 @@ impl SpfWorkspace {
 pub struct DestRouting {
     /// `dist[v]` = weighted distance from `v` to the destination.
     pub dist: Vec<u64>,
-    /// Reachable nodes in descending distance order (DAG topological
-    /// order, destination last).
+    /// Reachable nodes in descending distance order, ties by ascending
+    /// id (DAG topological order, destination last) — exactly
+    /// [`spf::descending_order_into`]'s permutation of `dist`.
     pub order: Vec<u32>,
     /// `(link, share)` adds in the order the router performs them.
     pub(crate) load_adds: Vec<(u32, f64)>,
@@ -157,7 +234,9 @@ impl DestRouting {
 ///
 /// This is the single source of truth for per-destination routing — both
 /// [`crate::route_class`] and the incremental cost engine are built on it,
-/// which is what makes their results bit-for-bit interchangeable.
+/// which is what makes their results bit-for-bit interchangeable. The
+/// order is read off Dijkstra's settle sequence in linear time
+/// (`spf::dist_order_into`).
 pub fn route_destination(
     net: &Network,
     weights: &[u32],
@@ -167,64 +246,16 @@ pub fn route_destination(
     ws: &mut SpfWorkspace,
     out: &mut DestRouting,
 ) {
-    let n = net.num_nodes();
-    spf::dist_to_into(
+    spf::dist_order_into(
         net,
         NodeId::new(t),
         weights,
         mask,
         &mut out.dist,
+        &mut out.order,
         &mut ws.heap,
     );
-    spf::descending_order_into(&out.dist, &mut out.order);
-    out.load_adds.clear();
-    out.dropped_adds.clear();
-
-    ws.inflow.clear();
-    ws.inflow.resize(n, 0.0);
-    for s in 0..n {
-        if s == t {
-            continue;
-        }
-        let demand = tm.demand(s, t);
-        if demand <= 0.0 {
-            continue;
-        }
-        if out.dist[s] == UNREACHABLE {
-            out.dropped_adds.push(demand);
-        } else {
-            ws.inflow[s] += demand;
-        }
-    }
-
-    // Push flow down the DAG in topological order (descending dist).
-    for &u in &out.order {
-        let u = u as usize;
-        if u == t || ws.inflow[u] == 0.0 {
-            continue;
-        }
-        let mut next_hops = 0usize;
-        for &l in net.out_links(NodeId::new(u)) {
-            if spf::on_dag(net, &out.dist, weights, mask, l.index()) {
-                next_hops += 1;
-            }
-        }
-        debug_assert!(
-            next_hops > 0,
-            "reachable non-destination node must have a DAG out-link"
-        );
-        let share = ws.inflow[u] / next_hops as f64;
-        for &l in net.out_links(NodeId::new(u)) {
-            if spf::on_dag(net, &out.dist, weights, mask, l.index()) {
-                out.load_adds.push((l.index() as u32, share));
-                let v = net.link(l).dst.index();
-                if v != t {
-                    ws.inflow[v] += share;
-                }
-            }
-        }
-        ws.inflow[u] = 0.0;
-    }
+    push_loads(net, weights, tm, mask, t, &mut ws.inflow, out);
 }
 
 /// [`route_destination`] that *repairs* the destination's routing from
@@ -232,30 +263,21 @@ pub fn route_destination(
 /// the delta-state engines' fast path for mask-affected destinations.
 ///
 /// `base` must be the destination's routing under the **same weights**
-/// with **all links up**; `mask` fails an arbitrary link set. Because a
-/// failure can only *remove* paths, distances can only grow, and the
-/// repair is the classic two-step incremental SPF:
-///
-/// 1. **Orphan detection** — walking the baseline's reachable nodes in
-///    ascending distance order (destination first), a node is orphaned
-///    iff every baseline-DAG out-edge is masked down or leads to an
-///    orphaned node. A non-orphaned node inductively keeps one fully
-///    surviving shortest path, and removals cannot shorten anything, so
-///    its distance is **exactly** its baseline distance.
-/// 2. **Boundary Dijkstra over the orphans** — orphaned distances reset
-///    to [`UNREACHABLE`] and are re-settled from seeds through surviving
-///    non-orphaned neighbours (whose distances are final), then relaxed
-///    among orphans. Any new shortest path's suffix past its last
-///    orphaned node runs through settled nodes, so this is a standard
-///    Dijkstra with pre-settled sources.
+/// with **all links up**; `mask` fails an arbitrary link set. A failed
+/// link is a link whose weight grew to infinity, so this is the
+/// weight-growth half of [`route_destination_reweight`]: the orphan
+/// worklist is seeded from the tails of the down links that lie on the
+/// baseline DAG, and the boundary Dijkstra re-settles the orphans (see
+/// the module docs for the argument). Failures only remove paths, so
+/// no non-orphan label moves.
 ///
 /// Distances are exact integers, so the repaired field **equals** a
-/// fresh [`spf::dist_to_into`] bit for bit; the order and the ECMP push
-/// are then the same deterministic functions of (distances, weights,
-/// mask, traffic) that [`route_destination`] runs, making the whole
-/// record interchangeable with a from-scratch route. (Pinned by the
-/// equivalence suites; `tests/spf_incremental.rs` pins the underlying
-/// distance equality against the Bellman–Ford oracle.)
+/// fresh [`spf::dist_to_into`] bit for bit; the order is the same
+/// permutation, and the ECMP push is the same deterministic function of
+/// (distances, weights, mask, traffic) that [`route_destination`] runs,
+/// making the whole record interchangeable with a from-scratch route.
+/// (Pinned bit for bit against [`route_destination`] by
+/// `tests/spf_incremental.rs`.)
 #[allow(clippy::too_many_arguments)] // the full per-destination context
 pub fn route_destination_repair(
     net: &Network,
@@ -267,103 +289,287 @@ pub fn route_destination_repair(
     ws: &mut SpfWorkspace,
     out: &mut DestRouting,
 ) {
-    let n = net.num_nodes();
-    ws.orphan.resize(n, 0);
-    ws.orphan_epoch = ws.orphan_epoch.wrapping_add(1);
-    if ws.orphan_epoch == 0 {
-        ws.orphan.fill(0);
-        ws.orphan_epoch = 1;
-    }
-    let epoch = ws.orphan_epoch;
-
-    // 1. Orphans, ascending baseline distance (reverse of `base.order`).
-    let mut any_orphan = false;
-    for &u in base.order.iter().rev() {
-        let u = u as usize;
-        if u == t {
-            continue;
-        }
-        let mut survives = false;
-        for &l in net.out_links(NodeId::new(u)) {
-            let li = l.index();
-            let v = net.link(l).dst.index();
-            if base.dist[v] == UNREACHABLE || base.dist[u] != base.dist[v] + u64::from(weights[li])
-            {
-                continue; // off the baseline DAG
-            }
-            if mask.is_up(li) && ws.orphan[v] != epoch {
-                survives = true;
-                break;
-            }
-        }
-        if !survives {
-            ws.orphan[u] = epoch;
-            any_orphan = true;
-        }
-    }
-
+    let seeds = mask
+        .down_links()
+        .filter(|&l| old_tight(net, &base.dist, weights, l))
+        .map(|l| net.link(LinkId::new(l)).src.index());
+    let r = &mut ws.repair;
+    r.find_orphans(net, &base.dist, weights, weights, mask, seeds, &mut ws.heap);
     out.dist.clone_from(&base.dist);
-    if any_orphan {
-        // 2. Boundary Dijkstra over the orphan set.
-        let heap = &mut ws.heap;
+    r.resettle(
+        net,
+        weights,
+        mask,
+        std::iter::empty(),
+        &mut ws.heap,
+        &mut out.dist,
+    );
+    r.merge_order(&base.order, &out.dist, &mut out.order);
+    push_loads(net, weights, tm, mask, t, &mut ws.inflow, out);
+}
+
+/// Re-route destination `t` in place after a weight move: `routing`
+/// holds its routing under `old_weights` and `mask` on entry, and its
+/// routing under `weights` and the **same** `mask` on exit. `diff` lists
+/// exactly the directed links whose weight differs between the two.
+/// This is the engines' refresh path for weight moves: it *repairs* the
+/// previous routing instead of running a fresh full Dijkstra.
+///
+/// A weight that grew can lengthen distances; one that dropped can
+/// shorten them. The repair handles both in two steps (argument in the
+/// module docs):
+///
+/// 1. **Orphans**: the worklist is seeded from the tails of the grown
+///    links on the previous DAG; a node is an orphan when none of its
+///    old-tight, up, non-grown out-links leads to a non-orphan.
+/// 2. **Label-correcting Dijkstra**: orphans restart from their
+///    non-orphan boundary, the tails of dropped links are seeded, and
+///    relaxation may lower any label, orphan or not.
+///
+/// The result equals a from-scratch [`route_destination`] under
+/// `weights` bit for bit: distances, order, load adds and drops.
+#[allow(clippy::too_many_arguments)] // the full per-destination context
+pub fn route_destination_reweight(
+    net: &Network,
+    old_weights: &[u32],
+    weights: &[u32],
+    diff: &[WeightChange],
+    tm: &TrafficMatrix,
+    mask: &LinkMask,
+    t: usize,
+    ws: &mut SpfWorkspace,
+    routing: &mut DestRouting,
+) {
+    let seeds = diff
+        .iter()
+        .filter(|c| c.new > c.old)
+        .map(|c| c.link.index())
+        .filter(|&l| mask.is_up(l) && old_tight(net, &routing.dist, old_weights, l))
+        .map(|l| net.link(LinkId::new(l)).src.index());
+    let r = &mut ws.repair;
+    r.find_orphans(
+        net,
+        &routing.dist,
+        old_weights,
+        weights,
+        mask,
+        seeds,
+        &mut ws.heap,
+    );
+    let dropped = diff
+        .iter()
+        .filter(|c| c.new < c.old)
+        .map(|c| c.link.index());
+    r.resettle(net, weights, mask, dropped, &mut ws.heap, &mut routing.dist);
+    // Copy rather than swap, so every routing keeps its own buffers
+    // (their capacities settle per destination).
+    ws.old_order.clone_from(&routing.order);
+    r.merge_order(&ws.old_order, &routing.dist, &mut routing.order);
+    push_loads(net, weights, tm, mask, t, &mut ws.inflow, routing);
+}
+
+/// `true` when link `l` lies on the shortest-path DAG of `dist` under
+/// `w`, ignoring any mask.
+#[inline]
+fn old_tight(net: &Network, dist: &[u64], w: &[u32], l: usize) -> bool {
+    let link = net.link(LinkId::new(l));
+    let (u, v) = (link.src.index(), link.dst.index());
+    dist[v] != UNREACHABLE && dist[u] == dist[v] + u64::from(w[l])
+}
+
+impl Repair {
+    /// Step 1 of both repairs: start a fresh flag epoch over the nodes
+    /// of `net`, then mark every node whose old shortest paths all lost
+    /// their old length, collecting them in `orphans`.
+    ///
+    /// A link *keeps* its old length when it is up and its weight did
+    /// not grow. Nodes pop in ascending old distance, so each node's
+    /// old-DAG successors (strictly closer) are final when it is
+    /// examined: the node is an orphan iff no old-tight keeping
+    /// out-link leads to a non-orphan. A new orphan enqueues its
+    /// predecessors over old-tight keeping in-links — the only nodes
+    /// whose answer it can change. `seeds` must hold the tail of every
+    /// old-DAG link that does not keep its length; then a node never
+    /// examined kept all its old-DAG out-links, with non-orphan heads,
+    /// so the worklist finds exactly the orphans a full ascending scan
+    /// would.
+    #[allow(clippy::too_many_arguments)] // both weight vectors plus scratch
+    fn find_orphans(
+        &mut self,
+        net: &Network,
+        old_dist: &[u64],
+        old_w: &[u32],
+        new_w: &[u32],
+        mask: &LinkMask,
+        seeds: impl Iterator<Item = usize>,
+        heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
+    ) {
+        let n = net.num_nodes();
+        self.queued.resize(n, 0);
+        self.orphan.resize(n, 0);
+        self.settled.resize(n, 0);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.queued.fill(0);
+            self.orphan.fill(0);
+            self.settled.fill(0);
+            self.epoch = 1;
+        }
+        self.orphans.clear();
+        self.resettled.clear();
+        let epoch = self.epoch;
+
+        let keeps = |l: usize, u: usize, v: usize| {
+            mask.is_up(l)
+                && new_w[l] <= old_w[l]
+                && old_dist[v] != UNREACHABLE
+                && old_dist[u] == old_dist[v] + u64::from(old_w[l])
+        };
         heap.clear();
-        for &u in base.order.iter() {
+        for u in seeds {
+            if self.queued[u] != epoch {
+                self.queued[u] = epoch;
+                heap.push(Reverse((old_dist[u], u as u32)));
+            }
+        }
+        while let Some(Reverse((_, u))) = heap.pop() {
             let u = u as usize;
-            if ws.orphan[u] != epoch {
+            let supported = net.out_links(NodeId::new(u)).iter().any(|&l| {
+                let v = net.link(l).dst.index();
+                self.orphan[v] != epoch && keeps(l.index(), u, v)
+            });
+            if supported {
                 continue;
             }
-            out.dist[u] = UNREACHABLE;
-            let mut best = UNREACHABLE;
-            for &l in net.out_links(NodeId::new(u)) {
-                let li = l.index();
-                if mask.is_down(li) {
-                    continue;
-                }
-                let v = net.link(l).dst.index();
-                if ws.orphan[v] == epoch || base.dist[v] == UNREACHABLE {
-                    continue;
-                }
-                let d = base.dist[v] + u64::from(weights[li]);
-                if d < best {
-                    best = d;
+            self.orphan[u] = epoch;
+            self.orphans.push(u as u32);
+            for &l in net.in_links(NodeId::new(u)) {
+                let x = net.link(l).src.index();
+                if self.queued[x] != epoch && keeps(l.index(), x, u) {
+                    self.queued[x] = epoch;
+                    heap.push(Reverse((old_dist[x], x as u32)));
                 }
             }
+        }
+    }
+
+    /// Step 2 of both repairs: a Dijkstra over `new_w` started from
+    /// upper-bound labels. `dist` holds the old labels on entry;
+    /// orphans restart at their best non-orphan neighbour, the tails of
+    /// `dropped` links at their shortcut, and relaxation lowers any
+    /// label it beats. The settle sequence lands in `resettled`, each
+    /// settled node flagged in `settled`.
+    fn resettle(
+        &mut self,
+        net: &Network,
+        new_w: &[u32],
+        mask: &LinkMask,
+        dropped: impl Iterator<Item = usize>,
+        heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
+        dist: &mut [u64],
+    ) {
+        let epoch = self.epoch;
+        heap.clear();
+        for &u in &self.orphans {
+            dist[u as usize] = UNREACHABLE;
+        }
+        for &u in &self.orphans {
+            let mut best = UNREACHABLE;
+            for &l in net.out_links(NodeId::new(u as usize)) {
+                let li = l.index();
+                let v = net.link(l).dst.index();
+                if mask.is_down(li) || self.orphan[v] == epoch || dist[v] == UNREACHABLE {
+                    continue;
+                }
+                best = best.min(dist[v] + u64::from(new_w[li]));
+            }
             if best != UNREACHABLE {
-                out.dist[u] = best;
-                heap.push(Reverse((best, u as u32)));
+                dist[u as usize] = best;
+                heap.push(Reverse((best, u)));
+            }
+        }
+        for li in dropped {
+            let link = net.link(LinkId::new(li));
+            let (x, v) = (link.src.index(), link.dst.index());
+            if mask.is_down(li) || dist[v] == UNREACHABLE {
+                continue;
+            }
+            let nd = dist[v] + u64::from(new_w[li]);
+            if nd < dist[x] {
+                dist[x] = nd;
+                heap.push(Reverse((nd, x as u32)));
             }
         }
         while let Some(Reverse((d, u))) = heap.pop() {
-            let u = u as usize;
-            if d > out.dist[u] {
+            if d > dist[u as usize] {
                 continue;
             }
-            for &l in net.in_links(NodeId::new(u)) {
+            self.resettled.push(u);
+            self.settled[u as usize] = epoch;
+            for &l in net.in_links(NodeId::new(u as usize)) {
                 let li = l.index();
                 if mask.is_down(li) {
                     continue;
                 }
-                let v = net.link(l).src.index();
-                if ws.orphan[v] != epoch {
-                    continue; // settled at its exact baseline distance
-                }
-                let nd = d + u64::from(weights[li]);
-                if nd < out.dist[v] {
-                    out.dist[v] = nd;
-                    heap.push(Reverse((nd, v as u32)));
+                let x = net.link(l).src.index();
+                let nd = d + u64::from(new_w[li]);
+                if nd < dist[x] {
+                    dist[x] = nd;
+                    heap.push(Reverse((nd, x as u32)));
                 }
             }
         }
-        heap.clear();
     }
 
-    // 3. Order + ECMP push — identical to `route_destination`'s tail.
-    spf::descending_order_into(&out.dist, &mut out.order);
+    /// The repaired order: `old_order` without the orphans and the
+    /// re-settled nodes — the rest keep their labels, so it stays
+    /// sorted by descending distance, ascending id — merged with the
+    /// re-settled nodes in that same order. Equals
+    /// [`spf::descending_order_into`] on `dist`.
+    fn merge_order(&mut self, old_order: &[u32], dist: &[u64], order: &mut Vec<u32>) {
+        let epoch = self.epoch;
+        spf::settled_to_descending(dist, &mut self.resettled);
+        order.clear();
+        let mut fresh = self.resettled.iter().copied().peekable();
+        for &v in old_order {
+            if self.orphan[v as usize] == epoch || self.settled[v as usize] == epoch {
+                continue;
+            }
+            let dv = dist[v as usize];
+            while let Some(&f) = fresh.peek() {
+                let df = dist[f as usize];
+                if df > dv || (df == dv && f < v) {
+                    order.push(f);
+                    fresh.next();
+                } else {
+                    break;
+                }
+            }
+            order.push(v);
+        }
+        order.extend(fresh);
+    }
+}
+
+/// The ECMP push shared by every routing kernel: inject each sender's
+/// demand (or record it dropped when unreachable), then push flow down
+/// the DAG in `out.order` (descending distance), splitting evenly over
+/// each node's DAG out-links and recording every add.
+fn push_loads(
+    net: &Network,
+    weights: &[u32],
+    tm: &TrafficMatrix,
+    mask: &LinkMask,
+    t: usize,
+    inflow: &mut Vec<f64>,
+    out: &mut DestRouting,
+) {
+    let n = net.num_nodes();
     out.load_adds.clear();
     out.dropped_adds.clear();
-    ws.inflow.clear();
-    ws.inflow.resize(n, 0.0);
-    for s in 0..n {
+    inflow.clear();
+    inflow.resize(n, 0.0);
+    for (s, flow) in inflow.iter_mut().enumerate() {
         if s == t {
             continue;
         }
@@ -374,12 +580,13 @@ pub fn route_destination_repair(
         if out.dist[s] == UNREACHABLE {
             out.dropped_adds.push(demand);
         } else {
-            ws.inflow[s] += demand;
+            *flow += demand;
         }
     }
+
     for &u in &out.order {
         let u = u as usize;
-        if u == t || ws.inflow[u] == 0.0 {
+        if u == t || inflow[u] == 0.0 {
             continue;
         }
         let mut next_hops = 0usize;
@@ -392,17 +599,17 @@ pub fn route_destination_repair(
             next_hops > 0,
             "reachable non-destination node must have a DAG out-link"
         );
-        let share = ws.inflow[u] / next_hops as f64;
+        let share = inflow[u] / next_hops as f64;
         for &l in net.out_links(NodeId::new(u)) {
             if spf::on_dag(net, &out.dist, weights, mask, l.index()) {
                 out.load_adds.push((l.index() as u32, share));
                 let v = net.link(l).dst.index();
                 if v != t {
-                    ws.inflow[v] += share;
+                    inflow[v] += share;
                 }
             }
         }
-        ws.inflow[u] = 0.0;
+        inflow[u] = 0.0;
     }
 }
 

@@ -512,3 +512,126 @@ fn steady_state_delta_state_candidate_sweep_allocates_nothing() {
         scenarios.len(),
     );
 }
+
+/// A closed chain of one-duplex-link moves off `start`: the moves go
+/// out one by one, then come back in reverse, so running the chain
+/// cyclically revisits exactly the same states.
+fn move_cycle<W: Clone>(start: &W, moves: &[impl Fn(&mut W)]) -> Vec<W> {
+    let mut out = vec![start.clone()];
+    for apply in moves {
+        let mut next = out.last().unwrap().clone();
+        apply(&mut next);
+        out.push(next);
+    }
+    let back: Vec<W> = out[1..out.len() - 1].iter().rev().cloned().collect();
+    out.extend(back);
+    out
+}
+
+/// The weight-move path — the Phase-1/1b steady state: walking a chain
+/// of one-duplex-link moves, each evaluated under `Normal` with
+/// `cost_with`, re-routes every move-touched destination through the
+/// in-place weight-change repair (`route_destination_reweight`). Once
+/// warm, a pass over the chain must perform **zero** heap allocations,
+/// in both engines. Warm-up runs the same closed chain, so it visits
+/// every state the measured pass does.
+#[test]
+fn steady_state_weight_move_chain_allocates_nothing() {
+    use dtr::mtr::{ClassSpec, MtrConfig, MtrEvaluator, MtrWeightSetting};
+    use rand::Rng;
+
+    let (net, tm) = testbed();
+    let mut rng = StdRng::seed_from_u64(17);
+    let reps = net.duplex_representatives();
+    let picks: Vec<(LinkId, u32, u32)> = (0..8)
+        .map(|_| {
+            let rep = reps[rng.gen_range(0..reps.len())];
+            (rep, rng.gen_range(1..=20), rng.gen_range(1..=20))
+        })
+        .collect();
+
+    let ev = Evaluator::new(&net, &tm, CostParams::default());
+    let dtr_moves: Vec<_> = picks
+        .iter()
+        .map(|&(rep, wd, wt)| {
+            let net = &net;
+            move |w: &mut WeightSetting| dtr::core::search::set_duplex_weights(w, net, rep, wd, wt)
+        })
+        .collect();
+    let chain = move_cycle(
+        &WeightSetting::random(net.num_links(), 20, &mut rng),
+        &dtr_moves,
+    );
+    let mut ws = ev.acquire_workspace();
+    let pass = |ws: &mut dtr::cost::EvalWorkspace| -> f64 {
+        let mut checksum = 0.0f64;
+        for w in &chain {
+            let c = ev.cost_with(ws, w, Scenario::Normal);
+            checksum += c.lambda + c.phi;
+        }
+        checksum
+    };
+    let warm = (0..3).map(|_| pass(&mut ws)).last().unwrap();
+    let (checksum, allocations) = count_allocations(|| pass(&mut ws));
+    assert_eq!(
+        ev.cost_with(&mut ws, &chain[1], Scenario::Normal),
+        ev.evaluate(&chain[1], Scenario::Normal).cost
+    );
+    ev.release_workspace(ws);
+    assert_eq!(checksum, warm, "the chain is closed: passes must agree");
+    assert_eq!(
+        allocations,
+        0,
+        "steady-state DTR move chain of {} settings performed {allocations} heap allocations",
+        chain.len(),
+    );
+
+    let matrices = [tm.delay.clone(), tm.delay.clone(), tm.throughput.clone()];
+    let config = MtrConfig::new(vec![
+        ClassSpec::sla("voice", 25e-3),
+        ClassSpec::sla("video", 60e-3),
+        ClassSpec::congestion("bulk").relaxed(0.2),
+    ]);
+    let mev = MtrEvaluator::new(&net, &matrices, config).unwrap();
+    let mtr_moves: Vec<_> = picks
+        .iter()
+        .map(|&(rep, wd, wt)| {
+            let net = &net;
+            move |w: &mut MtrWeightSetting| {
+                w.set_duplex(net, 0, rep, wd);
+                w.set_duplex(net, 1, rep, wt);
+                w.set_duplex(net, 2, rep, wd.max(wt));
+            }
+        })
+        .collect();
+    let chain = move_cycle(
+        &MtrWeightSetting::random_symmetric(3, &net, 20, &mut rng),
+        &mtr_moves,
+    );
+    let mut ws = mev.acquire_workspace();
+    let pass = |ws: &mut dtr::mtr::MtrWorkspace| -> f64 {
+        let mut checksum = 0.0f64;
+        for w in &chain {
+            checksum += mev
+                .cost_with(ws, w, Scenario::Normal)
+                .components()
+                .iter()
+                .sum::<f64>();
+        }
+        checksum
+    };
+    let warm = (0..3).map(|_| pass(&mut ws)).last().unwrap();
+    let (checksum, allocations) = count_allocations(|| pass(&mut ws));
+    mev.release_workspace(ws);
+    assert_eq!(checksum, warm, "the chain is closed: passes must agree");
+    // `cost_with` returns an owned k-component `VecCost`: that vector
+    // is the one allocation an MTR evaluation may make.
+    assert_eq!(
+        allocations,
+        chain.len() as u64,
+        "steady-state MTR move chain of {} settings performed {} heap allocations \
+         besides its returned cost vectors",
+        chain.len(),
+        allocations.saturating_sub(chain.len() as u64),
+    );
+}

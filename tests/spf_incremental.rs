@@ -1,6 +1,6 @@
 //! Differential tests of the workspace / incremental SPF machinery
-//! against the Bellman–Ford oracle, under random masks and weight
-//! perturbations.
+//! against the Bellman–Ford oracle and the from-scratch route, under
+//! random masks and weight perturbations.
 //!
 //! The incremental engine rests on two "provably unaffected" predicates
 //! ([`dtr::routing::workspace::dag_uses_any`] and
@@ -11,8 +11,8 @@
 
 use dtr::net::{LinkId, Network};
 use dtr::routing::workspace::{
-    dag_uses_any, route_destination, route_destination_repair, weight_change_affects, DestRouting,
-    WeightChange,
+    dag_uses_any, route_destination, route_destination_repair, route_destination_reweight,
+    weight_change_affects, DestRouting, WeightChange,
 };
 use dtr::routing::{route_class, spf, SpfWorkspace};
 use dtr::topogen::{rand_topo, SynthConfig};
@@ -56,8 +56,151 @@ fn random_traffic(net: &Network, seed: u64) -> TrafficMatrix {
     tm
 }
 
+/// A random mask failing `fails` random duplex links and, with
+/// `isolate`, every link of one random node (a masked-off region).
+fn random_mask(net: &Network, rng: &mut StdRng, fails: usize, isolate: bool) -> dtr::net::LinkMask {
+    let mut mask = net.fresh_mask();
+    let reps = net.duplex_representatives();
+    for _ in 0..fails {
+        let rep = reps[rng.gen_range(0..reps.len())];
+        for i in net.fail_duplex(rep).down_links() {
+            mask.fail(i);
+        }
+    }
+    if isolate {
+        let v = dtr::net::NodeId::new(rng.gen_range(0..net.num_nodes()));
+        for &l in net.out_links(v).iter().chain(net.in_links(v)) {
+            mask.fail(l.index());
+        }
+    }
+    mask
+}
+
+/// A weight move of 1..=8 duplex links off `w`, mixing increases,
+/// decreases and ties: a tie sets a link to exactly the slack that makes
+/// it newly tight towards `t` (no distance changes through it).
+fn random_move(net: &Network, w: &[u32], dist: &[u64], rng: &mut StdRng) -> Vec<u32> {
+    let mut new_w = w.to_vec();
+    let reps = net.duplex_representatives();
+    for _ in 0..rng.gen_range(1..=8usize) {
+        let rep = reps[rng.gen_range(0..reps.len())];
+        let link = net.link(rep);
+        let (u, v) = (link.src.index(), link.dst.index());
+        let slack = dist[u].wrapping_sub(dist[v]);
+        let nw = match rng.gen_range(0..3) {
+            0 => rng.gen_range(w[rep.index()]..=20),
+            1 => rng.gen_range(1..=w[rep.index()]),
+            _ if dist[u] != dtr::routing::UNREACHABLE
+                && dist[v] != dtr::routing::UNREACHABLE
+                && (1..=20).contains(&slack) =>
+            {
+                slack as u32
+            }
+            _ => rng.gen_range(1..=20),
+        };
+        new_w[rep.index()] = nw;
+        if let Some(r) = net.reverse_link(rep) {
+            new_w[r.index()] = nw;
+        }
+    }
+    new_w
+}
+
+fn diff_of(old_w: &[u32], new_w: &[u32]) -> Vec<WeightChange> {
+    (0..old_w.len())
+        .filter(|&l| old_w[l] != new_w[l])
+        .map(|l| WeightChange {
+            link: LinkId::new(l),
+            old: old_w[l],
+            new: new_w[l],
+        })
+        .collect()
+}
+
+/// Bit-for-bit equality of two routings: distances, order, load adds
+/// and the replayed loads and drops.
+fn assert_same_routing(net: &Network, got: &DestRouting, want: &DestRouting, what: &str) {
+    assert_eq!(got.dist, want.dist, "dist, {what}");
+    assert_eq!(got.order, want.order, "order, {what}");
+    assert_eq!(got.load_adds(), want.load_adds(), "load adds, {what}");
+    let (mut la, mut lb) = (vec![0.0; net.num_links()], vec![0.0; net.num_links()]);
+    let (mut da, mut db) = (0.0, 0.0);
+    got.replay(&mut la, &mut da);
+    want.replay(&mut lb, &mut db);
+    assert_eq!(la, lb, "loads, {what}");
+    assert_eq!(da, db, "drops, {what}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The weight-change repair (orphan worklist + label-correcting
+    /// Dijkstra from the previous routing) must equal a from-scratch
+    /// [`route_destination`] under the new weights **bit for bit**, for
+    /// random moves of 1..=8 duplex links mixing increases, decreases
+    /// and ties, under masks with failed links and masked-off nodes —
+    /// and along chains where each repair is seeded from the previous
+    /// repair's output.
+    #[test]
+    fn reweight_route_equals_full_route(
+        (nodes, extra, seed) in (6usize..16, 1usize..10, 0u64..1_000_000)
+    ) {
+        let net = build_net(nodes, extra, seed);
+        let tm = random_traffic(&net, seed ^ 2);
+        let mut rng = StdRng::seed_from_u64(seed ^ 3);
+        let mut ws = SpfWorkspace::new();
+        let mut fresh = DestRouting::default();
+
+        for _ in 0..8 {
+            let (fails, isolate) = (rng.gen_range(0..=2usize), rng.gen_bool(0.3));
+            let mask = random_mask(&net, &mut rng, fails, isolate);
+            let mut w: Vec<u32> = (0..net.num_links()).map(|_| rng.gen_range(1..=8)).collect();
+            let t = rng.gen_range(0..net.num_nodes());
+            let mut routing = DestRouting::default();
+            route_destination(&net, &w, &tm, &mask, t, &mut ws, &mut routing);
+
+            // A chain of repairs of repairs.
+            for step in 0..5 {
+                let new_w = random_move(&net, &w, &routing.dist, &mut rng);
+                let diff = diff_of(&w, &new_w);
+                route_destination_reweight(
+                    &net, &w, &new_w, &diff, &tm, &mask, t, &mut ws, &mut routing,
+                );
+                route_destination(&net, &new_w, &tm, &mask, t, &mut ws, &mut fresh);
+                assert_same_routing(&net, &routing, &fresh, &format!("dest {t}, step {step}"));
+                w = new_w;
+            }
+        }
+    }
+
+    /// The linear-time order read off Dijkstra's settle sequence, and
+    /// the merged order of both repairs, are exactly
+    /// [`spf::descending_order_into`]'s permutation — including under
+    /// masks that disconnect nodes from the destination.
+    #[test]
+    fn linear_time_orders_equal_sorted_order(
+        (nodes, extra, seed) in (5usize..14, 0usize..6, 0u64..1_000_000)
+    ) {
+        let net = build_net(nodes, extra, seed);
+        let tm = random_traffic(&net, seed ^ 5);
+        let mut rng = StdRng::seed_from_u64(seed ^ 6);
+        let w: Vec<u32> = (0..net.num_links()).map(|_| rng.gen_range(1..=4)).collect();
+        let up = net.fresh_mask();
+        let mut ws = SpfWorkspace::new();
+        let (mut base, mut dest, mut sorted) = (DestRouting::default(), DestRouting::default(), Vec::new());
+        for t in 0..net.num_nodes() {
+            route_destination(&net, &w, &tm, &up, t, &mut ws, &mut base);
+            for _ in 0..3 {
+                let (fails, isolate) = (rng.gen_range(1..=3usize), rng.gen_bool(0.5));
+                let mask = random_mask(&net, &mut rng, fails, isolate);
+                route_destination(&net, &w, &tm, &mask, t, &mut ws, &mut dest);
+                spf::descending_order_into(&dest.dist, &mut sorted);
+                prop_assert_eq!(&dest.order, &sorted, "settle order, dest {}", t);
+                route_destination_repair(&net, &w, &tm, &mask, t, &base, &mut ws, &mut dest);
+                prop_assert_eq!(&dest.order, &sorted, "repair order, dest {}", t);
+            }
+        }
+    }
 
     /// The baseline-seeded repair route (orphan detection + boundary
     /// Dijkstra) must equal a from-scratch [`route_destination`] **bit
